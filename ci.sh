@@ -16,6 +16,8 @@
 #   ingest    streaming-ingest bench + gates
 #   layout    physical-layout bench + gates
 #   all       every stage above, in order (the default)
+#   soak      repeated workspace test runs at 1/2/8 test threads, plus the
+#             fault pass at 8 (slow; not part of `all`)
 #
 # Gate artifacts (lint report, bench records) are collected under
 # target/ci/ so the workflow can upload them from one place.
@@ -87,6 +89,37 @@ stage_fault() {
         cargo test -q --offline --test robustness crash_recovery
 }
 
+# Soak pass: tier-1 must be deterministic on any core count, so the
+# whole workspace suite runs repeatedly at 1, 2 and 8 test threads, and
+# the fault pass (LEGODB_FAULT_SEED=1) repeatedly at 8. A test that
+# passes alone but fails beside a neighbour — the signature of state
+# leaking between tests, as the process-global fault override once did —
+# shows up here. The run count is fixed so every soak means the same.
+stage_soak() {
+    local runs=20
+    local log="$ARTIFACTS/SOAK_last.log"
+    soak_run() {
+        "$@" > "$log" 2>&1 || {
+            tail -n 60 "$log" >&2
+            echo "soak: failed: $*" >&2
+            exit 1
+        }
+    }
+    for threads in 1 2 8; do
+        echo "==> soak: $runs workspace test runs at --test-threads $threads"
+        for _ in $(seq 1 "$runs"); do
+            soak_run cargo test -q --offline --workspace --no-fail-fast -- \
+                --test-threads "$threads"
+        done
+    done
+    echo "==> soak: $runs fault-pass runs (LEGODB_FAULT_SEED=1) at --test-threads 8"
+    for _ in $(seq 1 "$runs"); do
+        soak_run env LEGODB_FAULT_SEED=1 cargo test -q --offline --workspace \
+            --no-fail-fast -- --test-threads 8
+    done
+    echo "    all $((runs * 4)) soak runs passed"
+}
+
 # Crash-recovery pass (DESIGN.md §14): the seeded crash-recovery
 # property re-runs across independent LEGODB_PROP_SEED streams with the
 # env failpoints armed, so each stream draws different (fault seed, row
@@ -138,12 +171,12 @@ stage_hardened() {
 #  - search_incremental: the memo machinery must actually engage — a
 #    zero cache hit rate means footprint/fingerprint invalidation has
 #    regressed to recosting everything.
-#  - search_scale at 10× IMDB-equivalent size: all scheduling arms must
-#    agree on the final cost bit-for-bit, and on multi-core machines the
-#    work-stealing scheduler must beat fixed chunking on wall-clock.
-#    (On a single core every arm degenerates to the same sequential
-#    execution, so there is no speedup to measure — the equality gate
-#    still runs.)
+#  - search_scale at 10× IMDB-equivalent size: the sequential and
+#    work-stealing arms must agree on the final cost bit-for-bit, and on
+#    multi-core machines work-stealing must beat the sequential search on
+#    wall-clock. (On a single core both arms degenerate to the same
+#    sequential execution, so there is no speedup to measure — the
+#    equality gate still runs.)
 #  - recovery (DESIGN.md §14): a durable load + midway checkpoint +
 #    reopen at 1× and 10× corpus scale must recover a byte-identical
 #    database (replay_match == 1). Throughput numbers are archived but
@@ -177,7 +210,7 @@ stage_bench() {
     if [ "$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then
         ./target/release/bench-gate "$ARTIFACTS/BENCH_search.json" \
             --where experiment=search_scale --where scale=10 --where summary=1 \
-            --require 'steal_speedup_vs_chunked>1.0'
+            --require 'steal_speedup_vs_sequential>1.0'
     else
         echo "    single core: skipping the work-stealing speedup gate"
     fi
@@ -267,9 +300,10 @@ run_stage() {
         bench) stage_bench ;;
         ingest) stage_ingest ;;
         layout) stage_layout ;;
+        soak) stage_soak ;;
         all) stage_fmt; stage_lint; stage_test; stage_fault; stage_recovery; stage_hardened; stage_bench; stage_ingest; stage_layout ;;
         *)
-            echo "ci.sh: unknown stage '$1' (stages: fmt lint test fault recovery hardened bench ingest layout all)" >&2
+            echo "ci.sh: unknown stage '$1' (stages: fmt lint test fault recovery hardened bench ingest layout all soak)" >&2
             exit 2
             ;;
     esac

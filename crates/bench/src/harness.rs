@@ -20,7 +20,6 @@ use legodb_relational::Database;
 use legodb_schema::mega::Occurrence;
 use legodb_schema::{mega_schema, MegaConfig, MegaSchema, TypeName};
 use legodb_util::fs::DirHandle;
-use legodb_util::Scheduler;
 use legodb_util::StdRng;
 use legodb_xml::stats::Statistics;
 use legodb_xquery::XQuery;
@@ -736,13 +735,12 @@ fn scale_iteration_cap(scale: usize) -> usize {
 }
 
 /// `search_scale` (DESIGN.md §13): the greedy search over generated
-/// mega-schemas at 1×/10×/100× the IMDB type count, run under three
-/// candidate-evaluation disciplines — sequential, chunked parallel, and
-/// the work-stealing deque scheduler. All three must agree on the final
-/// cost bit-for-bit (scheduling never changes results); the JSON records
-/// capture wall-clock, steal counts, and worker occupancy, and a
-/// per-scale summary records the steal-vs-chunked speedup the CI gate
-/// enforces at 10×.
+/// mega-schemas at 1×/10×/100× the IMDB type count, with candidates
+/// priced sequentially (one worker) and on the work-stealing deques. Both
+/// arms must agree on the final cost bit-for-bit (scheduling never
+/// changes results); the JSON records capture wall-clock, steal counts,
+/// and worker occupancy, and a per-scale summary records the
+/// steal-vs-sequential speedup the CI gate enforces at 10×.
 ///
 /// Knobs: `LEGODB_SCALE_LIST` (comma-separated scale factors, default
 /// `1,10,100`) and `LEGODB_SCALE_REPS` (wall-clock repetitions per arm,
@@ -763,16 +761,12 @@ pub fn search_scale() -> String {
         .unwrap_or(2)
         .max(1);
 
-    let arms: [(&str, bool, Scheduler); 3] = [
-        ("sequential", false, Scheduler::WorkStealing),
-        ("chunked", true, Scheduler::Chunked),
-        ("work-stealing", true, Scheduler::WorkStealing),
-    ];
+    let arms: [(&str, bool); 2] = [("sequential", false), ("work-stealing", true)];
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut out = String::from(
-        "## E8 — search at scale: sequential vs chunked vs work-stealing\n\n\
+        "## E8 — search at scale: sequential vs work-stealing\n\n\
          Generated mega-schemas (seed 0), 12 lookups + 2 publishes, \
          greedy-si, incremental costing on.\n\n",
     );
@@ -784,11 +778,10 @@ pub fn search_scale() -> String {
         let mut cost_bits = vec![0u64; arms.len()];
         let mut iterations = vec![0usize; arms.len()];
         let mut steal_line = String::new();
-        for (a, (arm, parallel, scheduler)) in arms.iter().enumerate() {
+        for (a, (arm, parallel)) in arms.iter().enumerate() {
             let config = SearchConfig {
                 start: StartPoint::MaximallyInlined,
                 parallel: *parallel,
-                scheduler: *scheduler,
                 max_iterations: cap,
                 ..Default::default()
             };
@@ -809,60 +802,54 @@ pub fn search_scale() -> String {
             let result = last.expect("at least one repetition ran");
             cost_bits[a] = result.cost.to_bits();
             iterations[a] = result.trajectory.len() - 1;
-            let mut record = legodb_util::json::JsonObject::new()
-                .str("experiment", "search_scale")
-                .u64("scale", scale as u64)
-                .str("arm", arm)
-                .f64("wall_ms", wall[a])
-                .f64("cost", result.cost)
-                .u64("iterations", iterations[a] as u64)
-                .u64("evaluations", result.eval.total());
-            let mut occupancy_cell = "—".to_string();
-            let mut steals_cell = "—".to_string();
-            if let Some(sched) = &result.sched {
-                record = record
+            let sched = result.sched.unwrap_or_default();
+            records.push(
+                legodb_util::json::JsonObject::new()
+                    .str("experiment", "search_scale")
+                    .u64("scale", scale as u64)
+                    .str("arm", arm)
+                    .f64("wall_ms", wall[a])
+                    .f64("cost", result.cost)
+                    .u64("iterations", iterations[a] as u64)
+                    .u64("evaluations", result.eval.total())
                     .u64("workers", sched.workers as u64)
                     .u64("steals", sched.steals)
                     .u64("failed_steals", sched.failed_steals)
-                    .f64("occupancy", sched.occupancy());
-                occupancy_cell = format!("{:.0}%", sched.occupancy() * 100.0);
-                steals_cell = sched.steals.to_string();
-                steal_line = format!(
-                    "scale {scale}: {} steals over {} items on {} workers",
-                    sched.steals,
-                    sched.items(),
-                    sched.workers
-                );
-            }
-            records.push(record.finish());
+                    .f64("occupancy", sched.occupancy())
+                    .finish(),
+            );
+            steal_line = format!(
+                "scale {scale}: {} steals over {} items on {} workers",
+                sched.steals,
+                sched.items(),
+                sched.workers
+            );
             rows.push(vec![
                 format!("{scale}x"),
                 mega.types.len().to_string(),
                 arm.to_string(),
                 format!("{:.1}", wall[a]),
                 iterations[a].to_string(),
-                steals_cell,
-                occupancy_cell,
+                sched.steals.to_string(),
+                format!("{:.0}%", sched.occupancy() * 100.0),
                 fmt3(f64::from_bits(cost_bits[a])),
             ]);
         }
         let cost_match = cost_bits.iter().all(|&b| b == cost_bits[0]);
-        let speedup_vs_chunked = wall[1] / wall[2].max(1e-9);
-        let speedup_vs_sequential = wall[0] / wall[2].max(1e-9);
+        let speedup_vs_sequential = wall[0] / wall[1].max(1e-9);
         records.push(
             legodb_util::json::JsonObject::new()
                 .str("experiment", "search_scale")
                 .u64("scale", scale as u64)
                 .u64("summary", 1)
-                .f64("steal_speedup_vs_chunked", speedup_vs_chunked)
                 .f64("steal_speedup_vs_sequential", speedup_vs_sequential)
                 .u64("cost_match", u64::from(cost_match))
                 .finish(),
         );
         let _ = writeln!(
             out,
-            "- {scale}×: work-stealing {speedup_vs_chunked:.2}x vs chunked, \
-             {speedup_vs_sequential:.2}x vs sequential; {steal_line}; \
+            "- {scale}×: work-stealing {speedup_vs_sequential:.2}x vs sequential; \
+             {steal_line}; \
              final costs bit-identical: {}.",
             if cost_match {
                 "yes"

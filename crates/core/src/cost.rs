@@ -591,9 +591,8 @@ mod tests {
 
     #[test]
     fn disjoint_footprints_reuse_the_parent_cost() {
-        if legodb_util::fault::env_enabled() {
-            return; // the reuse failpoint deliberately perturbs counters
-        }
+        // The reuse failpoint deliberately perturbs the counters.
+        let _quiet = legodb_util::fault::override_for_test(None);
         // A schema with an independent Studio branch: rewriting it must
         // not re-price a query that only walks the Show branch.
         let schema = parse_schema(

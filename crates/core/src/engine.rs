@@ -46,8 +46,8 @@ pub struct EngineResult {
     /// Incremental-costing counters (reused / memo-served / recomputed
     /// query pricings) across the search.
     pub eval: crate::cost::EvalStats,
-    /// Work-stealing scheduler telemetry across the search (`None` when
-    /// candidates were evaluated sequentially or chunked).
+    /// Candidate-scheduling telemetry across the search (always `Some`;
+    /// one worker and no steals for a sequential search).
     pub sched: Option<legodb_util::StealReport>,
 }
 

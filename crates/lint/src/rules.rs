@@ -86,14 +86,16 @@ const COST_PATH_FILES: &[&str] = &[
     "crates/optimizer/src/optimize.rs",
 ];
 
-/// Crates exempt from `no-ambient-authority`: `util` owns the clocks and
-/// threads (governor, bench harness, scoped map), `bench` measures
+/// Crates exempt from the clock and env half of `no-ambient-authority`:
+/// `util` owns the clocks (governor, bench harness), `bench` measures
 /// wall-clock by design.
 const AMBIENT_EXEMPT_CRATES: &[&str] = &["util", "bench"];
 
-/// Crates exempt from the filesystem half of `no-ambient-authority`:
-/// only `util` — it owns the `fs::DirHandle` capability type. `bench`
-/// is deliberately NOT here; its record writers route through util.
+/// Crates exempt from the filesystem and thread halves of
+/// `no-ambient-authority`: only `util` — it owns the `fs::DirHandle`
+/// capability type and `par::steal_map_catch`, the one spawn site, which
+/// hands every worker its caller's fault plan. `bench` is deliberately
+/// NOT here; its record writers route through util.
 const FS_EXEMPT_CRATES: &[&str] = &["util"];
 
 /// Crates whose parsers must route through `_with_limits` entry points.
@@ -590,14 +592,16 @@ impl<'a> FileCheck<'a> {
         }
     }
 
-    /// `no-ambient-authority`: no clocks, env reads, or thread spawns
-    /// outside `crates/util` and `crates/bench` — fault-injection
-    /// decisions must be pure in (seed, site, key) and parallel must
-    /// equal sequential (PR 2) — and no direct filesystem access
-    /// (`std::fs` / `File::` / `OpenOptions`) outside `crates/util`:
-    /// durable code must be *handed* a `legodb_util::fs::DirHandle`
-    /// capability, so crash-recovery failpoints stay the only I/O
-    /// failure model (PR 7).
+    /// `no-ambient-authority`: no clocks or env reads outside
+    /// `crates/util` and `crates/bench` — fault-injection decisions must
+    /// be pure in (seed, site, key) and parallel must equal sequential;
+    /// no thread starts (`thread::spawn` / `thread::scope` /
+    /// `thread::Builder`) outside `crates/util`, whose
+    /// `par::steal_map_catch` hands workers the caller's fault plan; and
+    /// no direct filesystem access (`std::fs` / `File::` / `OpenOptions`)
+    /// outside `crates/util`: durable code must be *handed* a
+    /// `legodb_util::fs::DirHandle` capability, so crash-recovery
+    /// failpoints stay the only I/O failure model.
     fn rule_no_ambient_authority(&mut self) {
         let clock_exempt = self.in_crate(AMBIENT_EXEMPT_CRATES);
         let fs_exempt = self.in_crate(FS_EXEMPT_CRATES);
@@ -635,8 +639,6 @@ impl<'a> FileCheck<'a> {
                 Some("`std::env::var` reads ambient environment")
             } else if path_call("SystemTime", &["now"]) || path_call("Instant", &["now"]) {
                 Some("ambient clock reads break deterministic replay")
-            } else if path_call("thread", &["spawn"]) {
-                Some("raw `thread::spawn` bypasses the fault-isolating scoped map")
             } else {
                 None
             };
@@ -647,6 +649,20 @@ impl<'a> FileCheck<'a> {
                     format!(
                         "{what} — only `crates/util` (governor/fault/bench) and \
                          `crates/bench` may touch ambient authority"
+                    ),
+                ));
+                continue;
+            }
+            if !fs_exempt && path_call("thread", &["spawn", "scope", "Builder"]) {
+                hits.push((
+                    t.line,
+                    t.col,
+                    format!(
+                        "`thread::{}` starts a thread outside the fault-isolated \
+                         parallel map, so its work misses the caller's fault plan \
+                         — only `crates/util` may start threads; use \
+                         `legodb_util::steal_map_catch`",
+                        self.code[i + 3].text
                     ),
                 ));
                 continue;
@@ -970,6 +986,20 @@ mod tests {
         let d = lint_lib("crates/bench/src/harness.rs", src);
         assert_eq!(d.len(), 3, "{d:?}");
         // tests may use std::fs for scratch dirs
+        assert!(lint_source("tests/robustness.rs", FileKind::Test, src).is_empty());
+    }
+
+    #[test]
+    fn thread_starts_flagged_outside_util() {
+        let src = "fn f() { std::thread::spawn(|| {}); \
+                   std::thread::scope(|_| {}); \
+                   let _ = thread::Builder::new(); }";
+        let d = lint_lib("crates/core/src/search.rs", src);
+        assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d.iter().all(|x| x.message.contains("steal_map_catch")));
+        // bench is clock-exempt but must run its threads through util too
+        assert_eq!(lint_lib("crates/bench/src/harness.rs", src).len(), 3);
+        assert!(lint_lib("crates/util/src/par.rs", src).is_empty());
         assert!(lint_source("tests/robustness.rs", FileKind::Test, src).is_empty());
     }
 

@@ -17,6 +17,11 @@ pub fn flagged_spawn() {
     std::thread::spawn(|| {});
 }
 
+pub fn flagged_scoped_threads() {
+    std::thread::scope(|_| {});
+    let _ = std::thread::Builder::new();
+}
+
 pub fn suppressed() -> Option<String> {
     // lint: allow(no-ambient-authority) — fixture: documented escape hatch
     std::env::var("PATH").ok()

@@ -515,14 +515,12 @@ enum ColumnCursor {
     /// The root's own scalar content (empty relative path): resolves at
     /// close from the accumulated direct text.
     OwnText { idx: usize, target: ColumnTarget },
-    /// Waiting for the first child element matching `first` (`None` =
-    /// `#any`, i.e. the first child of any name); the remaining steps are
-    /// then navigated inside that buffered subtree.
+    /// Waiting for the first child element that `steps[0]` picks; the
+    /// remaining steps are then navigated inside that buffered subtree.
     Child {
-        first: Option<String>,
-        rest: Vec<String>,
+        steps: Vec<Step>,
         idx: usize,
-        target: ColumnTarget,
+        kind: ScalarKind,
     },
     /// Already bound (whether or not a value was found).
     Done,
@@ -593,7 +591,8 @@ fn open_root<'a>(
     // Columns anchored on the root resolve now; the rest become cursors
     // that bind to the first matching child subtree.
     let mut cursors = Vec::new();
-    for (rel_path, target) in &table_mapping.columns {
+    let column_steps = sh.steps.get(&root_ty).map_or(&[][..], Vec::as_slice);
+    for ((rel_path, target), steps) in table_mapping.columns.iter().zip(column_steps) {
         let Some(idx) = table_def.column_index(&target.column) else {
             return Ok(Opened::Buffering);
         };
@@ -609,12 +608,10 @@ fn open_root<'a>(
                         row[idx] = convert(&a.value, target.kind);
                     }
                 } else {
-                    let first = (step != ANY_STEP).then(|| step.clone());
                     cursors.push(ColumnCursor::Child {
-                        first,
-                        rest: rel_path[1..].to_vec(),
+                        steps: steps.clone(),
                         idx,
-                        target: target.clone(),
+                        kind: target.kind,
                     });
                 }
             }
@@ -750,19 +747,9 @@ impl RootStream<'_> {
             }
         };
         for cursor in self.cursors.iter_mut() {
-            if let ColumnCursor::Child {
-                first,
-                rest,
-                idx,
-                target,
-            } = cursor
-            {
-                let hit = match first {
-                    None => true,
-                    Some(n) => n == &child.name,
-                };
-                if hit {
-                    if let Some(value) = extract_value(child, rest, target) {
+            if let ColumnCursor::Child { steps, idx, kind } = cursor {
+                if steps[0].picks(&child.name) {
+                    if let Some(value) = extract_value(child, &steps[1..], *kind) {
                         self.row[*idx] = value;
                     }
                     *cursor = ColumnCursor::Done;
@@ -884,11 +871,14 @@ struct Shredder<'a> {
     /// Completed rows whose id is ahead of the table's insertion frontier.
     pending: BTreeMap<String, BTreeMap<i64, Vec<Value>>>,
     rows: u64,
+    /// Each table's column paths resolved against its type's content
+    /// model, in `TableMapping::columns` order.
+    steps: BTreeMap<TypeName, Vec<Vec<Step>>>,
 }
 
 impl<'a> Shredder<'a> {
     fn new(mapping: &'a Mapping) -> Shredder<'a> {
-        Shredder {
+        let mut sh = Shredder {
             mapping,
             schema: mapping.pschema.schema(),
             db: Database::from_catalog(&mapping.catalog),
@@ -896,7 +886,58 @@ impl<'a> Shredder<'a> {
             emitted: BTreeMap::new(),
             pending: BTreeMap::new(),
             rows: 0,
-        }
+            steps: BTreeMap::new(),
+        };
+        sh.steps = mapping
+            .tables
+            .iter()
+            .map(|(ty, tm)| (ty.clone(), sh.column_steps(ty, tm)))
+            .collect();
+        sh
+    }
+
+    /// Resolve every column path of `tm` against the content model of
+    /// `ty`. An `#any` step picks the first child the wildcard's name
+    /// test accepts that no literal site of the same content model
+    /// claims — a literal `title` beside `~[String]?` keeps its child.
+    fn column_steps(&self, ty: &TypeName, tm: &TableMapping) -> Vec<Vec<Step>> {
+        let model = match self.schema.get(ty) {
+            Some(Type::Element { content, .. }) => Some(content.as_ref()),
+            other => other,
+        };
+        tm.columns
+            .keys()
+            .map(|rel_path| {
+                let mut model = model;
+                rel_path
+                    .iter()
+                    .map(|step| {
+                        if let Some(attr) = step.strip_prefix('@') {
+                            return Step::Attr(attr.to_string());
+                        }
+                        if step == TILDE_STEP {
+                            return Step::Tilde;
+                        }
+                        let any = step == ANY_STEP;
+                        let here = model;
+                        let element = here.and_then(|m| {
+                            inline_element(m, &|nt| match nt.literal() {
+                                Some(n) => n == step,
+                                None => any,
+                            })
+                        });
+                        model = element.map(|(_, content)| content);
+                        if !any {
+                            return Step::Child(step.clone());
+                        }
+                        Step::Any {
+                            test: element.map_or(NameTest::Any, |(nt, _)| nt.clone()),
+                            reserved: here.map(|m| self.literal_names(m)).unwrap_or_default(),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     fn allocate_id(&mut self, table: &str) -> i64 {
@@ -1003,7 +1044,11 @@ impl<'a> Shredder<'a> {
 
         // The element whose content the columns read: for element-anchored
         // types the instance element itself.
-        fill_columns(table_mapping, table_def, element, &mut row)?;
+        let steps = self
+            .steps
+            .get(ty)
+            .ok_or_else(|| inconsistent("table mapping for type", ty))?;
+        fill_columns(table_mapping, steps, table_def, element, &mut row)?;
 
         self.emit(&table_mapping.table, id, row)?;
 
@@ -1176,16 +1221,17 @@ impl<'a> Shredder<'a> {
     }
 }
 
-/// Evaluate every mapped column of `table_mapping` against `element`,
-/// writing hits into `row`.
+/// Evaluate every mapped column of `table_mapping` (its paths resolved
+/// into `steps`) against `element`, writing hits into `row`.
 fn fill_columns(
     table_mapping: &TableMapping,
+    steps: &[Vec<Step>],
     table_def: &legodb_relational::TableDef,
     element: &Element,
     row: &mut [Value],
 ) -> Result<(), ShredError> {
-    for (rel_path, target) in &table_mapping.columns {
-        if let Some(value) = extract_value(element, rel_path, target) {
+    for (target, steps) in table_mapping.columns.values().zip(steps) {
+        if let Some(value) = extract_value(element, steps, target.kind) {
             let idx = table_def
                 .column_index(&target.column)
                 .ok_or_else(|| inconsistent("mapped column", &target.column))?;
@@ -1254,32 +1300,67 @@ fn collect_required_members(schema: &Schema, ty: &Type, out: &mut Vec<String>, d
     }
 }
 
-/// Pull the scalar value addressed by a relative path out of an element.
-fn extract_value(element: &Element, rel_path: &[String], target: &ColumnTarget) -> Option<Value> {
+/// One step of a column's relative path, resolved against the content
+/// model it navigates (see [`Shredder::column_steps`]).
+#[derive(Debug, Clone)]
+enum Step {
+    /// `@name`: an attribute of the current element.
+    Attr(String),
+    /// `#tilde`: the tag name of the element navigated to so far — the
+    /// anchor itself for `[#tilde]`, the wildcard child after `#any`.
+    Tilde,
+    /// A literal child element: the first child with this name.
+    Child(String),
+    /// `#any`: an inlined wildcard's element — the first child `test`
+    /// accepts whose name no literal site in `reserved` claims.
+    Any {
+        test: NameTest,
+        reserved: BTreeSet<String>,
+    },
+}
+
+impl Step {
+    /// Does this (element) step navigate into a child named `name`?
+    fn picks(&self, name: &str) -> bool {
+        match self {
+            Step::Child(n) => n == name,
+            Step::Any { test, reserved } => test.matches(name) && !reserved.contains(name),
+            Step::Attr(_) | Step::Tilde => false,
+        }
+    }
+}
+
+/// The inlined element node in the column world of `model` whose name
+/// test satisfies `pred` (crossing sequences and optional layers, not
+/// nested elements or the named layer), with its content.
+fn inline_element<'t>(
+    model: &'t Type,
+    pred: &dyn Fn(&NameTest) -> bool,
+) -> Option<(&'t NameTest, &'t Type)> {
+    match model {
+        Type::Element { name, content } if pred(name) => Some((name, content)),
+        Type::Seq(items) => items.iter().find_map(|t| inline_element(t, pred)),
+        Type::Rep { inner, occurs, .. } if !occurs.multi_valued() => inline_element(inner, pred),
+        _ => None,
+    }
+}
+
+/// Pull the scalar value addressed by resolved `steps` out of an element.
+fn extract_value(element: &Element, steps: &[Step], kind: ScalarKind) -> Option<Value> {
     let mut current = element;
-    let mut steps = rel_path.iter().peekable();
-    while let Some(step) = steps.next() {
-        if let Some(attr) = step.strip_prefix('@') {
-            let v = current.attribute(attr)?;
-            return Some(convert(v, target.kind));
+    for step in steps {
+        match step {
+            Step::Attr(attr) => return Some(convert(current.attribute(attr)?, kind)),
+            Step::Tilde => return Some(Value::str(current.name.clone())),
+            Step::Child(name) => current = current.first_child(name)?,
+            Step::Any { .. } => current = current.child_elements().find(|e| step.picks(&e.name))?,
         }
-        if step == TILDE_STEP {
-            // The tag name of the element navigated to so far: the anchor
-            // itself for `[#tilde]`, the wildcard child after `#any`.
-            return Some(Value::str(current.name.clone()));
-        }
-        if step == ANY_STEP {
-            current = current.child_elements().next()?;
-            continue;
-        }
-        current = current.first_child(step)?;
-        let _ = steps.peek();
     }
     let text = current.text();
-    if text.is_empty() && target.kind == ScalarKind::Integer {
+    if text.is_empty() && kind == ScalarKind::Integer {
         return None;
     }
-    Some(convert(&text, target.kind))
+    Some(convert(&text, kind))
 }
 
 fn convert(text: &str, kind: ScalarKind) -> Value {
@@ -1415,6 +1496,55 @@ mod tests {
             .map(|r| r[tilde].as_str().unwrap().to_string())
             .collect();
         assert_eq!(names, vec!["nyt", "suntimes"]);
+    }
+
+    /// Shred the one-`directed` document `xml` (DOM and streaming, which
+    /// must agree) where a wildcard `site` sits beside literal sites, and
+    /// return the row's `tilde` column plus the mapping and database.
+    fn directed_tilde(site: &str, extra: &str, xml: &str) -> (Value, Mapping, Database) {
+        let schema = parse_schema(&format!(
+            "type Directed = directed[ title[ String ], year[ Integer ],
+                                       info[ String ]?, {site} ] {extra}"
+        ))
+        .unwrap();
+        let m = rel(&PSchema::try_new(schema).unwrap(), &Statistics::new());
+        let dom = shred_dom(&m, &parse(xml).unwrap()).unwrap();
+        let (streamed, report) = shred_events_report(&m, events(xml)).unwrap();
+        assert!(report.streamed);
+        assert_eq!(dom.snapshot_json(), streamed.snapshot_json());
+        let directed = dom.table("Directed").unwrap();
+        let tilde = directed.scan()[0][directed.def.column_index("tilde").unwrap()].clone();
+        (tilde, m, dom)
+    }
+
+    #[test]
+    fn inlined_wildcard_skips_children_claimed_by_literal_sites() {
+        let site = "~[ String ]?";
+        // `title` belongs to its literal site: with no wildcard child the
+        // tilde is NULL, and publishing writes the title once.
+        let xml = "<directed><title>Alien</title><year>1979</year></directed>";
+        let (tilde, m, db) = directed_tilde(site, "", xml);
+        assert_eq!(tilde, Value::Null);
+        let published = crate::publish_all(&m, &db).unwrap();
+        assert_eq!(published.root.children_named("title").count(), 1);
+        assert_eq!(published.root.child_elements().count(), 2);
+        // A trailing `<x>` is the wildcard's, and publishes back.
+        let xml = "<directed><title>Heat</title><year>1995</year>
+                     <info>remake</info><x>extra</x></directed>";
+        let (tilde, m, db) = directed_tilde(site, "", xml);
+        assert_eq!(tilde, Value::str("x"));
+        let published = crate::publish_all(&m, &db).unwrap();
+        assert_eq!(published.root.children_named("title").count(), 1);
+        assert_eq!(published.root.first_child("x").unwrap().text(), "extra");
+        // `~!x` passes over its excluded name too: here `<x>` belongs to
+        // the named wildcard site `Other`.
+        let xml = "<directed><title>Heat</title><year>1995</year><x>no</x></directed>";
+        let (tilde, ..) = directed_tilde(
+            "~!x[ String ]?, Other{0,*}",
+            "type Other = ~[ String ]",
+            xml,
+        );
+        assert_eq!(tilde, Value::Null);
     }
 
     #[test]

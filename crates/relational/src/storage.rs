@@ -1092,11 +1092,7 @@ mod tests {
     /// Disable env-activated fault injection (the CI fault stage) so these
     /// deterministic tests see only the faults they inject themselves.
     fn quiet_faults() -> OverrideGuard {
-        override_for_test(FaultConfig {
-            seed: 0,
-            rate: 0.0,
-            mode: FaultMode::Error,
-        })
+        override_for_test(None)
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1255,14 +1251,11 @@ mod tests {
         let snapshot;
         let last_lsn;
         {
-            let quiet = quiet_faults();
+            let _quiet = quiet_faults();
             let mut db = Database::open(&dir).unwrap();
             load_durable(&mut db, 4);
             snapshot = db.snapshot_json();
             last_lsn = db.wal().unwrap().next_lsn() - 1;
-            // The override-owner mutex is not reentrant: release the
-            // quiet guard before installing per-seed overrides.
-            drop(quiet);
 
             // Decisions are pure in (seed, site, key): probe for a seed
             // where both checkpoint sites pass but wal.truncate fires, so
@@ -1307,13 +1300,12 @@ mod tests {
         let dir = DirHandle::create(&root).unwrap();
         let snapshot;
         {
-            let quiet = quiet_faults();
+            let _quiet = quiet_faults();
             let mut db = Database::open(&dir).unwrap();
             load_durable(&mut db, 3);
             snapshot = db.snapshot_json();
-            drop(quiet); // owner mutex is not reentrant
-                         // rate-1 faults: checkpoint dies at its first site, before
-                         // anything is written
+            // rate-1 faults: checkpoint dies at its first site, before
+            // anything is written
             let _g = override_for_test(FaultConfig::always(11, FaultMode::Error));
             assert!(db.checkpoint(&dir).is_err());
         }

@@ -626,11 +626,7 @@ mod tests {
     /// whole workspace under `LEGODB_FAULT_SEED`) so these deterministic
     /// tests see only the faults they inject themselves.
     fn quiet_faults() -> legodb_util::fault::OverrideGuard {
-        override_for_test(FaultConfig {
-            seed: 0,
-            rate: 0.0,
-            mode: FaultMode::Error,
-        })
+        override_for_test(None)
     }
 
     fn scratch(tag: &str) -> PathBuf {

@@ -8,20 +8,28 @@
 //! therefore inject *identical* faults, which the search equivalence
 //! properties rely on.
 //!
-//! Activation, in precedence order:
+//! Each thread carries its own fault *plan* (`Option<FaultConfig>`;
+//! `None` means no faults):
 //!
-//! 1. A programmatic override installed with [`override_for_test`]
-//!    (tests; process-global, serialized by an internal mutex).
-//! 2. The `LEGODB_FAULT_SEED` environment variable (CI fault pass), with
-//!    optional `LEGODB_FAULT_RATE` (default 0.02) and
-//!    `LEGODB_FAULT_MODE` (`error` | `panic` | `mixed`, default `mixed`).
+//! 1. A thread's plan starts as the environment config, read once per
+//!    process: `LEGODB_FAULT_SEED` (CI fault pass), with optional
+//!    `LEGODB_FAULT_RATE` (default 0.02) and `LEGODB_FAULT_MODE`
+//!    (`error` | `panic` | `mixed`, default `mixed`).
+//! 2. [`override_for_test`] replaces the calling thread's plan, and no
+//!    other thread's, until its guard drops. `override_for_test(None)`
+//!    lets a strict test disarm itself under the fault pass.
+//! 3. [`crate::par::steal_map_catch`] — the only place library code
+//!    starts threads — hands the caller's plan to every worker, so a
+//!    parallel map injects exactly the faults its sequential run would.
 //!
-//! With neither present, [`failpoint`] is a single relaxed atomic load.
+//! No process-global state changes after start-up, so concurrent tests
+//! cannot observe each other's plans.
 
 use crate::rng::{Rng, SplitMix64};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// How an activated failpoint manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,13 +81,8 @@ impl fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Fast-path flag: false means "no override and no env activation", so
-/// failpoints can return immediately without locking.
-static ANY_ACTIVE: AtomicBool = AtomicBool::new(false);
-static OVERRIDE: Mutex<Option<FaultConfig>> = Mutex::new(None);
-/// Serializes tests that install overrides (held for the guard's life).
-static OVERRIDE_OWNER: Mutex<()> = Mutex::new(());
-
+/// The `LEGODB_FAULT_*` config, read once per process: every thread's
+/// starting plan.
 fn env_config() -> Option<FaultConfig> {
     static CONFIG: OnceLock<Option<FaultConfig>> = OnceLock::new();
     *CONFIG.get_or_init(|| {
@@ -98,61 +101,43 @@ fn env_config() -> Option<FaultConfig> {
     })
 }
 
-/// True when fault injection was activated via the environment
-/// (`LEGODB_FAULT_SEED`). Tests asserting strict quantitative outcomes
-/// (exact cost wins, trajectory shapes) may relax themselves under the CI
-/// fault pass by consulting this.
-pub fn env_enabled() -> bool {
-    env_config().is_some()
+thread_local! {
+    static PLAN: Cell<Option<FaultConfig>> = Cell::new(env_config());
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The active config, if any. Override wins over environment.
+/// The calling thread's fault plan (`None` = no faults).
 pub fn active() -> Option<FaultConfig> {
-    if !ANY_ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    if let Some(over) = *lock(&OVERRIDE) {
-        return Some(over);
-    }
-    env_config()
+    PLAN.with(Cell::get)
 }
 
-/// RAII guard for a test-installed fault config. Dropping restores the
-/// environment-driven behavior. Guards serialize on an internal mutex so
-/// concurrent `#[test]`s cannot observe each other's overrides.
+/// RAII guard for a replaced thread plan: dropping it restores the plan
+/// the thread had before. Not `Send` — it must drop on the thread whose
+/// plan it replaced.
 pub struct OverrideGuard {
-    _owner: MutexGuard<'static, ()>,
+    previous: Option<FaultConfig>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
-        *lock(&OVERRIDE) = None;
-        ANY_ACTIVE.store(env_config().is_some(), Ordering::Relaxed);
+        PLAN.with(|plan| plan.set(self.previous));
     }
 }
 
-/// Install `config` as the process-wide fault config until the returned
-/// guard drops. Blocks while another override is alive.
-pub fn override_for_test(config: FaultConfig) -> OverrideGuard {
-    let owner = lock(&OVERRIDE_OWNER);
-    *lock(&OVERRIDE) = Some(config);
-    ANY_ACTIVE.store(true, Ordering::Relaxed);
-    OverrideGuard { _owner: owner }
+/// Run the calling thread under `plan` until the returned guard drops.
+pub(crate) fn scoped(plan: Option<FaultConfig>) -> OverrideGuard {
+    OverrideGuard {
+        previous: PLAN.with(|current| current.replace(plan)),
+        _thread_bound: PhantomData,
+    }
 }
 
-/// One-time initialization of the fast-path flag from the environment.
-/// Called lazily by [`failpoint`]; cheap after the first call.
-fn ensure_env_flag() {
-    static INIT: OnceLock<()> = OnceLock::new();
-    INIT.get_or_init(|| {
-        if env_config().is_some() {
-            ANY_ACTIVE.store(true, Ordering::Relaxed);
-        }
-    });
+/// Replace the calling thread's fault plan until the returned guard
+/// drops: a [`FaultConfig`] arms it, `None` disarms it. Other threads —
+/// including concurrently running tests — keep their own plans; workers
+/// of [`crate::par::steal_map_catch`] started under the guard inherit it.
+pub fn override_for_test(plan: impl Into<Option<FaultConfig>>) -> OverrideGuard {
+    scoped(plan.into())
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -194,7 +179,6 @@ fn decide(config: &FaultConfig, site: &str, key: &str) -> Option<FaultMode> {
 /// deterministically returns `Err(FaultError)` or panics for the
 /// configured fraction of `(site, key)` pairs.
 pub fn failpoint(site: &str, key: &str) -> Result<(), FaultError> {
-    ensure_env_flag();
     let Some(config) = active() else {
         return Ok(());
     };
@@ -212,13 +196,20 @@ pub fn failpoint(site: &str, key: &str) -> Result<(), FaultError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn inactive_failpoints_pass() {
-        // No override installed here; unless the environment activates
-        // injection, every failpoint passes.
-        if env_enabled() {
-            return;
+    /// What `failpoint(site, key)` did on this thread: passed (`None`),
+    /// returned an error, or panicked.
+    fn outcome(site: &str, key: &str) -> Option<FaultMode> {
+        match std::panic::catch_unwind(|| failpoint(site, key)) {
+            Ok(Ok(())) => None,
+            Ok(Err(_)) => Some(FaultMode::Error),
+            Err(_) => Some(FaultMode::Panic),
         }
+    }
+
+    #[test]
+    fn disarmed_failpoints_pass() {
+        let _quiet = override_for_test(None);
+        assert_eq!(active(), None);
         for i in 0..100 {
             assert!(failpoint("util.test", &i.to_string()).is_ok());
         }
@@ -262,11 +253,49 @@ mod tests {
     }
 
     #[test]
-    fn override_guard_restores_prior_behavior() {
+    fn override_guards_nest_and_restore_the_prior_plan() {
+        let before = active();
         {
-            let _guard = override_for_test(FaultConfig::always(1, FaultMode::Error));
+            let _error = override_for_test(FaultConfig::always(1, FaultMode::Error));
+            assert!(failpoint("util.guard", "k").is_err());
+            {
+                let _quiet = override_for_test(None);
+                assert!(failpoint("util.guard", "k").is_ok());
+            }
             assert!(failpoint("util.guard", "k").is_err());
         }
-        assert_eq!(active().is_some(), env_enabled());
+        assert_eq!(active(), before);
+    }
+
+    #[test]
+    fn one_threads_plan_never_reaches_another_thread() {
+        // Thread A holds an always-panic plan for the whole time thread B
+        // runs its failpoints; B installed nothing, so it must see only
+        // the environment plan (no faults outside the CI fault pass).
+        let armed = std::sync::Barrier::new(2);
+        let checked = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _panic = override_for_test(FaultConfig::always(9, FaultMode::Panic));
+                armed.wait();
+                checked.wait();
+                assert_eq!(outcome("util.thread_a", "k"), Some(FaultMode::Panic));
+            });
+            s.spawn(|| {
+                armed.wait();
+                let plan = active();
+                let seen: Vec<_> = (0..100)
+                    .map(|i| outcome("util.thread_b", &i.to_string()))
+                    .collect();
+                // Release A before asserting, so a failure cannot hang it.
+                checked.wait();
+                assert_eq!(plan, env_config());
+                for (i, got) in seen.into_iter().enumerate() {
+                    let key = i.to_string();
+                    let expected = plan.and_then(|c| decide(&c, "util.thread_b", &key));
+                    assert_eq!(got, expected, "key {key}");
+                }
+            });
+        });
     }
 }

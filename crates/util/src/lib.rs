@@ -8,9 +8,9 @@
 //! | Module | Replaces | Provides |
 //! |---|---|---|
 //! | [`rng`] | `rand` | seedable SplitMix64 / xoshiro256++ PRNG, `Rng` trait (`gen_range`, `gen_bool`, `shuffle`, `sample`) |
-//! | [`par`] | `crossbeam::thread::scope` + `crossbeam::deque` | [`par::scoped_map`] / [`par::scoped_map_catch`] order-preserving (fault-isolated) parallel maps; [`par::steal_map_catch`] work-stealing deque scheduler with [`par::StealReport`] telemetry |
+//! | [`par`] | `crossbeam::thread::scope` + `crossbeam::deque` | [`par::steal_map_catch`]: the one order-preserving, fault-isolated parallel map (work-stealing deques, caller's fault plan handed to every worker) with [`par::StealReport`] telemetry — the only place library code starts threads |
 //! | [`governor`] | — | [`governor::Budget`] deadlines / evaluation / memory-estimate budgets with a cheap `checkpoint()` |
-//! | [`fault`] | `fail` | deterministic, order-independent fault injection (`LEGODB_FAULT_SEED`) |
+//! | [`fault`] | `fail` | deterministic, order-independent fault injection under a per-thread plan (seeded from `LEGODB_FAULT_SEED`, replaced by [`fault::override_for_test`]) |
 //! | [`sync`] | `parking_lot` | poison-tolerant [`sync::RwLock`] / [`sync::Mutex`] with direct-guard API; [`sync::Striped`] lock-striped shards |
 //! | [`lockcheck`] | `tsan`-style deadlock detection | debug-only runtime lock-order sanitizer fed by [`sync`] (held-lock stacks, acquisition-order graph, cycle panics with witnesses) |
 //! | [`hash`] | — | [`hash::StableHasher`]: seeded, platform-stable FNV-1a fingerprints |
@@ -41,6 +41,6 @@ pub use fault::{failpoint, FaultConfig, FaultError, FaultMode};
 pub use fs::{DirHandle, LogFile};
 pub use governor::{Budget, BudgetExceeded, Governor};
 pub use hash::StableHasher;
-pub use par::{scoped_map, scoped_map_catch, steal_map_catch, Scheduler, StealReport};
+pub use par::{steal_map_catch, StealReport};
 pub use rng::{Rng, SampleRange, SampleUniform, SplitMix64, StdRng};
 pub use sync::{Mutex, RwLock, Striped};

@@ -1,71 +1,34 @@
-//! Scoped parallel helpers on `std::thread::scope` — the std-only
-//! replacement for `crossbeam::thread::scope` in the greedy-search
-//! candidate evaluation.
+//! The fault-isolated parallel map on `std::thread::scope` — the
+//! std-only replacement for `crossbeam::thread::scope` +
+//! `crossbeam::deque` in the greedy-search candidate evaluation, and the
+//! only place library code starts threads.
 //!
-//! Two scheduling disciplines are offered (see [`Scheduler`]):
+//! [`steal_map_catch`] is work-stealing: each worker owns a LIFO deque
+//! seeded with one contiguous chunk of the input, pops work from its
+//! back, and — chase-lev style — steals the *oldest* item from the front
+//! of a random victim's deque when its own runs dry, so skewed per-item
+//! costs (reused candidates finish in microseconds while recosted ones
+//! dominate) do not leave workers idle. Victim selection uses the in-repo
+//! xoshiro256++ generator seeded deterministically per call and per
+//! worker, so a given `(seed, worker)` probes victims in a reproducible
+//! order. With one worker the map runs sequentially on the caller's
+//! thread.
 //!
-//! * **Chunked** ([`scoped_map_catch`]): the input is split into one
-//!   contiguous chunk per worker up front. No synchronization after the
-//!   split, but skewed per-item costs leave workers idle once their chunk
-//!   drains — exactly what incremental candidate costing produces (reused
-//!   candidates finish in microseconds while recosted ones dominate).
-//! * **Work-stealing** ([`steal_map_catch`]): each worker owns a LIFO
-//!   deque seeded with the same contiguous chunk, pops work from its back,
-//!   and — chase-lev style — steals the *oldest* item from the front of a
-//!   random victim's deque when its own runs dry. Victim selection uses
-//!   the in-repo xoshiro256++ generator seeded deterministically per call
-//!   and per worker, so a given `(seed, worker)` probes victims in a
-//!   reproducible order.
-//!
-//! Both disciplines preserve input order in the result vector and give
-//! per-item `catch_unwind` panic isolation, and neither influences *what*
-//! each item computes — so when `f` is pure per item (the fault-injection
-//! layer's decisions are pure in `(seed, site, key)` by construction),
-//! the result vector is bit-identical across sequential, chunked, and
-//! work-stealing execution.
+//! Results keep input order, a panic is caught per item, and every
+//! worker runs under the caller's fault plan (see [`crate::fault`]), so
+//! scheduling never influences *what* an item computes: when `f` is pure
+//! per item (the fault-injection layer's decisions are pure in
+//! `(seed, site, key)` by construction), the result vector is
+//! bit-identical across worker counts.
 
+use crate::fault;
 use crate::rng::{Rng, StdRng};
 use crate::sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Map `f` over `items` on up to `max_threads` scoped threads, returning
-/// the results in input order.
-///
-/// The slice is split into contiguous chunks, one per thread, so results
-/// concatenate back into input order with no per-item synchronization.
-/// A panic in `f` is propagated to the caller with its original payload.
-/// With an empty input, one item, or `max_threads <= 1`, no threads are
-/// spawned.
-pub fn scoped_map<T, U, F>(items: &[T], max_threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if items.len() <= 1 || max_threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let threads = max_threads.min(items.len());
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
-/// A panic payload captured by [`scoped_map_catch`].
+/// A panic payload captured by [`steal_map_catch`].
 pub type CaughtPanic = Box<dyn std::any::Any + Send + 'static>;
 
 /// Describe a caught panic payload (the `&str`/`String` message when the
@@ -78,46 +41,6 @@ pub fn panic_message(payload: &CaughtPanic) -> &str {
     } else {
         "<non-string panic payload>"
     }
-}
-
-/// Like [`scoped_map`], but fault-isolated: a panic in `f` is caught
-/// *per item* and surfaced as that item's `Err(payload)` instead of
-/// tearing down the whole map. Results stay in input order. The
-/// single-threaded paths (`items.len() <= 1` or `max_threads <= 1`) get
-/// the same per-item isolation, so callers behave identically with and
-/// without parallelism.
-pub fn scoped_map_catch<T, U, F>(
-    items: &[T],
-    max_threads: usize,
-    f: F,
-) -> Vec<Result<U, CaughtPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let run = |item: &T| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
-    if items.len() <= 1 || max_threads <= 1 {
-        return items.iter().map(run).collect();
-    }
-    let threads = max_threads.min(items.len());
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(run).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
-                // `run` catches panics from `f`; a join error can only be
-                // a harness-level failure, which we do propagate.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
 }
 
 /// The machine's available parallelism (1 when it cannot be determined).
@@ -135,27 +58,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1)
-}
-
-/// Which parallel scheduling discipline to run a fault-isolated map under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// One contiguous chunk per worker, fixed at spawn time
-    /// ([`scoped_map_catch`]).
-    Chunked,
-    /// Per-worker LIFO deques with chase-lev-style stealing from random
-    /// victims ([`steal_map_catch`]).
-    #[default]
-    WorkStealing,
-}
-
-impl std::fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Scheduler::Chunked => write!(f, "chunked"),
-            Scheduler::WorkStealing => write!(f, "work-stealing"),
-        }
-    }
 }
 
 /// Scheduling telemetry from one [`steal_map_catch`] call.
@@ -223,15 +125,19 @@ struct WorkerLog<U> {
     busy_ns: u64,
 }
 
-/// Like [`scoped_map_catch`], but work-stealing: each of up to
-/// `max_threads` workers owns a deque seeded with a contiguous chunk of
-/// item indices, pops its own work LIFO (newest first, cache-warm), and
-/// steals the oldest item from the front of a random victim's deque when
-/// its own is empty. Victim order is drawn from xoshiro256++ seeded by
-/// `(seed, worker)`, so scheduling decisions — though racy in real time —
-/// are reproducible in distribution, and the *results* are a function of
-/// the items alone: input order is preserved and a panic in `f` is caught
-/// per item, exactly as in [`scoped_map_catch`].
+/// Map `f` over `items` on up to `max_threads` workers, fault-isolated: a
+/// panic in `f` is caught *per item* and surfaced as that item's
+/// `Err(payload)` instead of tearing down the whole map. Each worker owns
+/// a deque seeded with a contiguous chunk of item indices, pops its own
+/// work LIFO (newest first, cache-warm), and steals the oldest item from
+/// the front of a random victim's deque when its own is empty. Victim
+/// order is drawn from xoshiro256++ seeded by `(seed, worker)`, so
+/// scheduling decisions — though racy in real time — are reproducible in
+/// distribution, and the *results* are a function of the items alone:
+/// input order is preserved, and every worker runs under the caller's
+/// fault plan. With an empty input, one item, or `max_threads <= 1`, no
+/// threads are spawned and the items run in order on the caller's thread,
+/// with the same per-item isolation.
 ///
 /// Returns the results plus a [`StealReport`] (steal counts, per-worker
 /// item counts and busy time, wall-clock) for the bench layer.
@@ -273,9 +179,8 @@ where
 
     let n = items.len();
     let workers = max_threads.min(n);
-    // Seed each deque with the same contiguous chunk the chunked
-    // scheduler would pin to that worker, so with zero skew the two
-    // disciplines touch items with identical locality.
+    // Seed each deque with one contiguous chunk, so with zero skew every
+    // worker walks a cache-friendly run of neighbouring items.
     let chunk = n.div_ceil(workers);
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| {
@@ -285,6 +190,7 @@ where
         })
         .collect();
     let remaining = AtomicUsize::new(n);
+    let plan = fault::active();
 
     let logs: Vec<WorkerLog<U>> = std::thread::scope(|scope| {
         let run = &run;
@@ -293,6 +199,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|me| {
                 scope.spawn(move || {
+                    let _plan = fault::scoped(plan);
                     let mut rng = StdRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x9E37));
                     let mut log = WorkerLog {
                         results: Vec::with_capacity(chunk),
@@ -413,72 +320,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn results_preserve_input_order() {
-        let items: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 3, 8, 64, 1000] {
-            let out = scoped_map(&items, threads, |&x| x * 2);
-            assert_eq!(
-                out,
-                items.iter().map(|x| x * 2).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        assert_eq!(scoped_map(&[] as &[u8], 4, |&x| x), Vec::<u8>::new());
-        assert_eq!(scoped_map(&[7], 4, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn every_item_is_visited_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..100).collect();
-        let out = scoped_map(&items, 7, |&x| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(out.len(), 100);
-    }
-
-    #[test]
-    fn catch_variant_isolates_panics_per_item() {
-        let items: Vec<u32> = (0..64).collect();
-        for threads in [1, 4, 16] {
-            let out = scoped_map_catch(&items, threads, |&x| {
-                if x % 7 == 3 {
-                    panic!("poisoned {x}");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), 64, "threads={threads}");
-            for (i, r) in out.iter().enumerate() {
-                let x = i as u32;
-                match r {
-                    Ok(v) => {
-                        assert_ne!(x % 7, 3);
-                        assert_eq!(*v, x * 2);
-                    }
-                    Err(payload) => {
-                        assert_eq!(x % 7, 3);
-                        assert_eq!(panic_message(payload), format!("poisoned {x}"));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn catch_variant_handles_empty_and_singleton() {
-        assert!(scoped_map_catch(&[] as &[u8], 4, |&x| x).is_empty());
-        let out = scoped_map_catch(&[1u8], 4, |_| panic!("lone"));
-        assert_eq!(out.len(), 1);
-        assert!(out[0].is_err());
-    }
-
-    #[test]
     fn steal_results_preserve_input_order() {
         let items: Vec<u64> = (0..257).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
@@ -528,36 +369,47 @@ mod tests {
 
     #[test]
     fn skewed_workloads_get_rebalanced_by_stealing() {
-        // The first chunk holds all the slow items: under chunked
-        // scheduling one worker does ~all the work; stealing must spread
-        // it. 4 workers, 64 items, items 0..16 are 100x slower.
+        // 4 workers, 64 items. The items force the interleaving instead of
+        // trusting the OS scheduler — which, with the suite running beside
+        // this test on few cores, may not run a worker at all until the
+        // others have drained every deque: no item finishes before all
+        // four workers have started one, and the items of worker 0's
+        // chunk (0..16) keep it busy until a second thread — which can
+        // only have stolen one — has started one of them too.
         let items: Vec<u64> = (0..64).collect();
-        let (out, report) = steal_map_catch(&items, 4, 1, |&x| {
-            let spins = if x < 16 { 200_000 } else { 2_000 };
-            // A data-dependent spin so the optimizer cannot elide it.
-            let mut acc = x;
-            for i in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+        let started = std::sync::Mutex::new(Vec::new());
+        let threads_started = |slow_only: bool| {
+            let mut ids = Vec::new();
+            for &(id, slow) in started.lock().unwrap().iter() {
+                if (slow || !slow_only) && !ids.contains(&id) {
+                    ids.push(id);
+                }
             }
-            std::hint::black_box(acc);
+            ids.len()
+        };
+        // The deadline only bounds a broken scheduler: the assertions
+        // below then fail instead of the test hanging.
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        let (out, report) = steal_map_catch(&items, 4, 1, |&x| {
+            let slow = x < 16;
+            started
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), slow));
+            while (threads_started(false) < 4 || (slow && threads_started(true) < 2))
+                && Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
             x
         });
         assert_eq!(out.len(), 64);
-        // On a single core the 4 workers timeslice and a whole deque can
-        // drain before its thief ever runs, so rebalancing is not
-        // guaranteed — the same reason ci.sh skips its work-stealing
-        // speedup gate there.
-        let multicore = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
-        if report.workers == 4 && multicore {
-            // Every worker must end up executing something: the three
-            // whose chunks drain quickly steal from the loaded one.
-            assert!(
-                report.executed.iter().all(|&n| n > 0),
-                "executed: {:?}",
-                report.executed
-            );
-            assert!(report.steals > 0, "{report:?}");
-        }
+        assert!(
+            report.executed.iter().all(|&n| n > 0),
+            "executed: {:?}",
+            report.executed
+        );
+        assert!(report.steals > 0, "{report:?}");
     }
 
     #[test]
@@ -588,10 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn steal_matches_sequential_and_chunked_bit_for_bit() {
+    fn steal_matches_sequential_bit_for_bit() {
         // The permutation-invariance contract: execution order must not
-        // leak into results. `f` is pure per item, so all three
-        // disciplines must produce identical vectors.
+        // leak into results. `f` is pure per item, so every worker count
+        // and victim seed must produce the sequential vector.
         let items: Vec<u64> = (0..300).collect();
         let sequential: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xabc).collect();
         for threads in [2, 5, 8] {
@@ -600,9 +452,6 @@ mod tests {
                     steal_map_catch(&items, threads, seed, |&x| x.wrapping_mul(x) ^ 0xabc);
                 let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
                 assert_eq!(values, sequential, "threads={threads} seed={seed}");
-                let chunked = scoped_map_catch(&items, threads, |&x| x.wrapping_mul(x) ^ 0xabc);
-                let chunked: Vec<u64> = chunked.into_iter().map(|r| r.unwrap()).collect();
-                assert_eq!(chunked, sequential, "threads={threads}");
             }
         }
     }
@@ -623,25 +472,26 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_names_render() {
-        assert_eq!(Scheduler::Chunked.to_string(), "chunked");
-        assert_eq!(Scheduler::WorkStealing.to_string(), "work-stealing");
-        assert_eq!(Scheduler::default(), Scheduler::WorkStealing);
-    }
-
-    #[test]
-    fn worker_panics_propagate_with_their_payload() {
-        let items: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(|| {
-            scoped_map(&items, 4, |&x| {
-                if x == 11 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        });
-        let payload = result.expect_err("expected propagation");
-        let msg = payload.downcast_ref::<String>().expect("string payload");
-        assert_eq!(msg, "boom at 11");
+    fn workers_run_under_the_callers_fault_plan() {
+        // Items run on spawned workers (seeded or stolen) must see the
+        // plan of the thread that called the map, armed or disarmed.
+        let items: Vec<u32> = (0..64).collect();
+        let probe = |x: &u32| {
+            let fired = fault::failpoint("util.par", &x.to_string()).is_err();
+            (fault::active(), fired)
+        };
+        for threads in [1, 4] {
+            let armed = fault::FaultConfig::always(5, fault::FaultMode::Error);
+            let _armed = fault::override_for_test(armed);
+            let (out, _) = steal_map_catch(&items, threads, 7, probe);
+            for r in out {
+                assert_eq!(r.unwrap(), (Some(armed), true), "threads={threads}");
+            }
+            let _quiet = fault::override_for_test(None);
+            let (out, _) = steal_map_catch(&items, threads, 7, probe);
+            for r in out {
+                assert_eq!(r.unwrap(), (None, false), "threads={threads}");
+            }
+        }
     }
 }

@@ -310,11 +310,7 @@ fn zero_deadline_still_yields_a_usable_configuration() {
 /// Disable env-activated fault injection (the CI fault stage) so the
 /// durability tests see only the faults they inject themselves.
 fn quiet_faults() -> OverrideGuard {
-    override_for_test(FaultConfig {
-        seed: 0,
-        rate: 0.0,
-        mode: FaultMode::Error,
-    })
+    override_for_test(None)
 }
 
 fn event_def() -> TableDef {
@@ -364,14 +360,11 @@ prop_check! {
         {
             // Schema setup runs quiet so every case exercises the insert
             // path instead of crashing at CREATE TABLE.
-            let quiet = quiet_faults();
+            let _quiet = quiet_faults();
             let mut db = Database::open(&dir).expect("fresh open");
             db.create_table(event_def()).expect("create table");
             db.create_index("Event", "name").expect("create index");
             db.commit().expect("commit schema");
-            // The override-owner mutex is not reentrant: release the
-            // quiet guard before installing the crash-injecting one.
-            drop(quiet);
 
             let _faulty = override_for_test(FaultConfig {
                 seed,
@@ -445,13 +438,12 @@ prop_check! {
         let mut acked = 0u64;
         let mut attempted = 0u64;
         {
-            let quiet = quiet_faults();
+            let _quiet = quiet_faults();
             let mut db = Database::open(&dir).expect("fresh open");
             db.create_table(event_def().with_layout(Layout::Columnar))
                 .expect("create columnar table");
             db.create_index("Event", "name").expect("create index");
             db.commit().expect("commit schema");
-            drop(quiet);
 
             let _faulty = override_for_test(FaultConfig {
                 seed,
@@ -682,13 +674,10 @@ prop_check! {
         let mut acked = 0u64;
         let mut attempted = 0u64;
         {
-            let quiet = quiet_faults();
+            let _quiet = quiet_faults();
             let mut db = Database::open(&dir).expect("fresh open");
             db.create_table(event_def()).expect("create table");
             db.commit().expect("commit schema");
-            // The override-owner mutex is not reentrant: release the
-            // quiet guard before installing the crash-injecting one.
-            drop(quiet);
 
             let _faulty = override_for_test(FaultConfig {
                 seed,
