@@ -12,9 +12,8 @@
 #   fault     fault-injection test pass (LEGODB_FAULT_SEED=1)
 #   recovery  seeded crash-recovery property across 16 seed streams
 #   hardened  release tests with debug-assertions + overflow-checks
-#   bench     experiment benches + bench-gate thresholds
-#   ingest    streaming-ingest bench + gates
-#   layout    physical-layout bench + gates
+#   bench     measured experiments, their gates, committed-record check
+#   pipeline  pipebench on each workload, gated on correct answers
 #   all       every stage above, in order (the default)
 #   soak      repeated workspace test runs at 1/2/8 test threads, plus the
 #             fault pass at 8 (slow; not part of `all`)
@@ -130,7 +129,7 @@ stage_soak() {
 # outcomes land in target/ci/RECOVERY_report.txt.
 stage_recovery() {
     build_release
-    local streams="${LEGODB_RECOVERY_SEEDS:-16}"
+    local streams=16
     echo "==> crash-recovery property across $streams seed streams"
     : > "$ARTIFACTS/RECOVERY_report.txt"
     for seed in $(seq 1 "$streams"); do
@@ -165,128 +164,107 @@ stage_hardened() {
         --test properties incremental_costing_matches_the_oracle
 }
 
-# Bench gates, enforced by the bench-gate bin over the JSON-lines
-# records in target/ci/BENCH_search.json:
+# Measured experiments and their gates (DESIGN.md §11, §13–§16). Each
+# row of the table below runs `legodb-bench <experiment>` once, with its
+# records in target/ci/BENCH_*.json, then checks each of its gates with
+# `legodb-bench gate`. A gate is `where,...:require,...`, and `scale=*`
+# stands for every scale of the row. Wall clock on shared runners is
+# noisy, so the speedup floors sit well below the headline numbers.
 #
-#  - search_incremental: the memo machinery must actually engage — a
-#    zero cache hit rate means footprint/fingerprint invalidation has
-#    regressed to recosting everything.
-#  - search_scale at 10× IMDB-equivalent size: the sequential and
-#    work-stealing arms must agree on the final cost bit-for-bit, and on
-#    multi-core machines work-stealing must beat the sequential search on
-#    wall-clock. (On a single core both arms degenerate to the same
-#    sequential execution, so there is no speedup to measure — the
-#    equality gate still runs.)
-#  - recovery (DESIGN.md §14): a durable load + midway checkpoint +
-#    reopen at 1× and 10× corpus scale must recover a byte-identical
-#    database (replay_match == 1). Throughput numbers are archived but
-#    not gated — wall clock on shared runners is too noisy.
+#  - search_incremental: a zero memo hit rate means footprint/fingerprint
+#    invalidation has regressed to recosting everything.
+#  - search_scale at 10×: the sequential and work-stealing arms agree on
+#    the final cost bit-for-bit; on 2+ cores work-stealing also beats the
+#    sequential search (one core has no speedup to measure).
+#  - recovery: a durable load + midway checkpoint + reopen recovers a
+#    byte-identical database.
+#  - ingest: the streaming shred is bit-identical to the DOM oracle,
+#    stays under a tenth of the DOM working set, groups each batch into
+#    one fsync, and beats the DOM path at 10×.
+#  - layout: row and mixed layouts answer Q1–Q18 bit-identically, the
+#    analytic workload goes columnar and the lookup workload stays row,
+#    and narrow columnar scans beat row scans at 10×.
+#
+# Last, each fresh records file must hold the same (experiment, field)
+# pairs as its committed copy at the repository root — names, not
+# values — so the committed files stay exactly what this stage emits.
+# Regenerate them with `./ci.sh bench && cp target/ci/BENCH_*.json .`.
 stage_bench() {
     build_release
-    echo "==> experiment benches (records in $ARTIFACTS/BENCH_search.json)"
-    rm -f "$ARTIFACTS/BENCH_search.json"
-    LEGODB_BENCH_JSON=$ARTIFACTS/BENCH_search.json \
-        ./target/release/search_incremental >/dev/null
-    LEGODB_BENCH_JSON=$ARTIFACTS/BENCH_search.json \
-    LEGODB_SCALE_LIST="${LEGODB_SCALE_LIST:-1,10}" \
-        ./target/release/search_scale >/dev/null
-
-    echo "==> recovery bench (records in $ARTIFACTS/BENCH_recovery.json)"
-    rm -f "$ARTIFACTS/BENCH_recovery.json"
-    LEGODB_BENCH_JSON=$ARTIFACTS/BENCH_recovery.json \
-    LEGODB_RECOVERY_SCALES="${LEGODB_RECOVERY_SCALES:-1,10}" \
-        ./target/release/recovery >/dev/null
-
-    echo "==> bench-gate thresholds"
-    ./target/release/bench-gate "$ARTIFACTS/BENCH_search.json" \
-        --where experiment=search_incremental --where memoize=on \
-        --require 'hit_rate>0'
-    ./target/release/bench-gate "$ARTIFACTS/BENCH_search.json" \
-        --where experiment=search_incremental --where summary=1 \
-        --require 'speedup>0'
-    ./target/release/bench-gate "$ARTIFACTS/BENCH_search.json" \
-        --where experiment=search_scale --where scale=10 --where summary=1 \
-        --require 'cost_match==1'
-    if [ "$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then
-        ./target/release/bench-gate "$ARTIFACTS/BENCH_search.json" \
-            --where experiment=search_scale --where scale=10 --where summary=1 \
-            --require 'steal_speedup_vs_sequential>1.0'
-    else
+    local steal='scale=10,summary=1:steal_speedup_vs_sequential>1.0'
+    if [ "$(nproc 2>/dev/null || echo 1)" -lt 2 ]; then
         echo "    single core: skipping the work-stealing speedup gate"
+        steal=''
     fi
-    for scale in $(echo "${LEGODB_RECOVERY_SCALES:-1,10}" | tr ',' ' '); do
-        ./target/release/bench-gate "$ARTIFACTS/BENCH_recovery.json" \
-            --where experiment=recovery --where "scale=$scale" \
-            --require 'replay_match==1'
+    rm -f "$ARTIFACTS"/BENCH_*.json
+    local row experiment scales gate scale
+    while read -ra row; do
+        experiment=${row[0]} scales=${row[1]}
+        echo "==> legodb-bench $experiment (scales: $scales)"
+        local flags=(--out "$ARTIFACTS")
+        [ "$scales" = - ] || flags+=(--scales "$scales")
+        ./target/release/legodb-bench "$experiment" "${flags[@]}" >/dev/null </dev/null
+        for gate in "${row[@]:2}"; do
+            for scale in ${scales//,/ }; do
+                bench_gate "$experiment" "${gate//scale=\*/scale=$scale}"
+                [[ "$gate" == *'scale=*'* ]] || break
+            done
+        done
+    done <<ROWS
+search_incremental  -     memoize=on:hit_rate>0 summary=1:speedup>0
+search_scale        1,10  scale=10,summary=1:cost_match==1 $steal
+recovery            1,10  scale=*:replay_match==1
+ingest              1,10  scale=*:rows_match==1,within_budget==1,fsyncs_per_batch<=1 scale=10:streaming_speedup>1.0
+layout              1,10  scale=*:results_match==1,agg_chose_columnar==1,lookup_columnar_tables==0 scale=10:columnar_agg_speedup>1.2
+ROWS
+    echo "==> committed records carry the fields this stage emits"
+    local file
+    for file in BENCH_search.json BENCH_recovery.json BENCH_ingest.json BENCH_layout.json; do
+        diff <(record_fields "$file") <(record_fields "$ARTIFACTS/$file") || {
+            echo "$file: (experiment, field) pairs differ from a fresh run (<committed, >fresh)" >&2
+            exit 1
+        }
     done
 }
 
-# Streaming-ingest gates (DESIGN.md §15), over BENCH_ingest.json:
-#
-#  - rows_match at every scale: the streaming shred must be bit-identical
-#    to the DOM oracle — a throughput win that changes the database is a
-#    correctness bug, not an optimisation.
-#  - within_budget: the streaming path must actually stream (peak
-#    resident elements under a tenth of the DOM node count).
-#  - fsyncs_per_batch <= 1: batched appends group each batch into one
-#    WAL frame with a single fsync.
-#  - streaming_speedup > 1.0 at 10×: the event-pull path must beat the
-#    DOM path. The headline target is 1.5×; the CI floor is looser
-#    because wall clock on shared runners is noisy.
-stage_ingest() {
-    build_release
-    echo "==> streaming ingest bench (records in $ARTIFACTS/BENCH_ingest.json)"
-    rm -f "$ARTIFACTS/BENCH_ingest.json"
-    LEGODB_BENCH_JSON=$ARTIFACTS/BENCH_ingest.json \
-    LEGODB_INGEST_SCALES="${LEGODB_INGEST_SCALES:-1,10}" \
-        ./target/release/ingest >/dev/null
-
-    echo "==> ingest gates"
-    for scale in $(echo "${LEGODB_INGEST_SCALES:-1,10}" | tr ',' ' '); do
-        ./target/release/bench-gate "$ARTIFACTS/BENCH_ingest.json" \
-            --where experiment=ingest --where "scale=$scale" \
-            --require 'rows_match==1' \
-            --require 'within_budget==1' \
-            --require 'fsyncs_per_batch<=1'
-    done
-    ./target/release/bench-gate "$ARTIFACTS/BENCH_ingest.json" \
-        --where experiment=ingest --where scale=10 \
-        --require 'streaming_speedup>1.0'
+# `bench_gate <experiment> <where,...:require,...>` over the experiment's
+# records file (the search_* experiments share BENCH_search.json).
+bench_gate() {
+    local where=${2%%:*} require=${2#*:} args=(--where "experiment=$1") kv
+    for kv in ${where//,/ }; do args+=(--where "$kv"); done
+    for kv in ${require//,/ }; do args+=(--require "$kv"); done
+    ./target/release/legodb-bench gate "$ARTIFACTS/BENCH_${1%%_*}.json" "${args[@]}"
 }
 
-# Physical-layout gates (DESIGN.md §16), over BENCH_layout.json:
-#
-#  - results_match at every scale: the all-row and mixed-layout builds
-#    must answer Q1–Q18 (plus the analytic scan set) bit-identically —
-#    layout is physical design, never semantics.
-#  - agg_chose_columnar == 1: the greedy `set-layout` search must move at
-#    least one table referenced by the analytic workload (Q11–Q18) to
-#    the column store.
-#  - lookup_columnar_tables == 0: the same search on the point-lookup
-#    workload (Q1–Q6) must leave every table on the row heap — columnar
-#    random access pays a per-column reassembly penalty.
-#  - columnar_agg_speedup > 1.2 at 10×: narrow-projection analytic scans
-#    must actually run faster on the column store. The headline number
-#    is ~2×; the CI floor is looser for shared-runner noise.
-stage_layout() {
-    build_release
-    echo "==> physical-layout bench (records in $ARTIFACTS/BENCH_layout.json)"
-    rm -f "$ARTIFACTS/BENCH_layout.json"
-    LEGODB_BENCH_JSON=$ARTIFACTS/BENCH_layout.json \
-    LEGODB_LAYOUT_SCALES="${LEGODB_LAYOUT_SCALES:-1,10}" \
-        ./target/release/layout_scale >/dev/null
+# The sorted (experiment, field name) pairs of a JSON-lines records file
+# of flat objects that start with "experiment" (as JsonObject writes them).
+record_fields() {
+    awk -F'"' '{ for (i = 2; i < NF; i += 2) if ($(i + 1) ~ /^:/) print $4, $i }' "$1" | sort -u
+}
 
-    echo "==> layout gates"
-    for scale in $(echo "${LEGODB_LAYOUT_SCALES:-1,10}" | tr ',' ' '); do
-        ./target/release/bench-gate "$ARTIFACTS/BENCH_layout.json" \
-            --where experiment=layout --where "scale=$scale" \
-            --require 'results_match==1' \
-            --require 'agg_chose_columnar==1' \
-            --require 'lookup_columnar_tables==0'
+# End-to-end pipeline benchmark (pipebench/README.md), run as
+# BENCHMARK.json runs it, once per workload. Each run must check every
+# answer against the independent evaluator ("correct": true) with no
+# failed operation, and a traced ingest run must keep the streaming
+# shred at or under 64 resident elements. Timings and sizes are not
+# gated: their bounds are relative to a parent commit's runs.
+stage_pipeline() {
+    build_release
+    local pipebench=(cargo run --release --quiet --offline --manifest-path pipebench/Cargo.toml --)
+    local workload
+    for workload in lookup publish ingest; do
+        echo "==> pipebench --workload $workload"
+        "${pipebench[@]}" --workload "$workload" --seed 7 --seconds 2 --trace 0 |
+            tail -n 1 > "$ARTIFACTS/PIPELINE_$workload.json"
+        ./target/release/legodb-bench gate "$ARTIFACTS/PIPELINE_$workload.json" \
+            --require 'correct==1' --require 'failed==0'
     done
-    ./target/release/bench-gate "$ARTIFACTS/BENCH_layout.json" \
-        --where experiment=layout --where scale=10 \
-        --require 'columnar_agg_speedup>1.2'
+    echo "==> pipebench --workload ingest --trace 1"
+    "${pipebench[@]}" --workload ingest --seed 7 --seconds 2 --trace 1 |
+        tail -n 1 > "$ARTIFACTS/PIPELINE_ingest_trace.json"
+    ./target/release/legodb-bench gate "$ARTIFACTS/PIPELINE_ingest_trace.json" \
+        --require 'correct==1' --require 'failed==0' \
+        --require 'metrics/pschema.peak_resident_elements/value<=64'
 }
 
 run_stage() {
@@ -298,12 +276,11 @@ run_stage() {
         recovery) stage_recovery ;;
         hardened) stage_hardened ;;
         bench) stage_bench ;;
-        ingest) stage_ingest ;;
-        layout) stage_layout ;;
+        pipeline) stage_pipeline ;;
         soak) stage_soak ;;
-        all) stage_fmt; stage_lint; stage_test; stage_fault; stage_recovery; stage_hardened; stage_bench; stage_ingest; stage_layout ;;
+        all) stage_fmt; stage_lint; stage_test; stage_fault; stage_recovery; stage_hardened; stage_bench; stage_pipeline ;;
         *)
-            echo "ci.sh: unknown stage '$1' (stages: fmt lint test fault recovery hardened bench ingest layout all soak)" >&2
+            echo "ci.sh: unknown stage '$1' (stages: fmt lint test fault recovery hardened bench pipeline all soak)" >&2
             exit 2
             ;;
     esac

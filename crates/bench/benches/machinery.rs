@@ -3,7 +3,8 @@
 //! iteration on 2001 hardware; these benches track our per-component
 //! budgets). Runs on the `legodb_util::bench` harness: warmup + batched
 //! samples on a monotonic clock, median/p95 reporting, and JSON-lines
-//! output to `$LEGODB_BENCH_JSON` when set.
+//! output to `--out FILE` (`cargo bench -p legodb-bench --bench machinery --
+//! --samples 10 --out FILE`).
 
 use legodb_core::cost::pschema_cost;
 use legodb_core::transform::{apply, enumerate_candidates, Transformation, TransformationSet};

@@ -1,7 +1,8 @@
-//! `bench-gate`: enforce named thresholds over JSON-lines bench records.
+//! `legodb-bench gate`: enforce named thresholds over JSON-lines bench
+//! records.
 //!
 //! ```text
-//! bench-gate target/ci/BENCH_search.json \
+//! legodb-bench gate target/ci/BENCH_search.json \
 //!     --where experiment=search_incremental \
 //!     --require hit_rate>0 --require speedup>=1.5
 //! ```
@@ -11,14 +12,12 @@
 //! are append-only, so the last match is the most recent run). Each
 //! `--require key<op>value` (`>`, `>=`, `<`, `<=`, `==`, `!=`) is
 //! checked against that record; on any failure the observed vs required
-//! values are printed and the exit code is non-zero. A missing file,
-//! missing record, or missing field is also a failure — a gate that
-//! cannot find its metric must not pass silently.
-
-#![forbid(unsafe_code)]
+//! values are reported and the gate fails. A missing file, missing
+//! record, or missing field is also a failure — a gate that cannot find
+//! its metric must not pass silently. A key may name a nested field by
+//! its `/`-separated path (`metrics/pschema.peak_resident_elements/value`).
 
 use legodb_util::json::{parse_lines, Value};
-use std::process::ExitCode;
 
 struct Filter {
     key: String,
@@ -97,8 +96,13 @@ fn parse_require(expr: &str) -> Result<Require, String> {
     ))
 }
 
+/// The field at a `/`-separated key path.
+fn field<'a>(record: &'a Value, key: &str) -> Option<&'a Value> {
+    key.split('/').try_fold(record, |v, k| v.get(k))
+}
+
 fn matches(record: &Value, filters: &[Filter]) -> bool {
-    filters.iter().all(|f| match record.get(&f.key) {
+    filters.iter().all(|f| match field(record, &f.key) {
         Some(Value::String(s)) => *s == f.value,
         Some(v) => match (v.as_f64(), f.value.parse::<f64>()) {
             (Some(a), Ok(b)) => a == b,
@@ -108,8 +112,9 @@ fn matches(record: &Value, filters: &[Filter]) -> bool {
     })
 }
 
-fn run() -> Result<(), String> {
-    let mut args = std::env::args().skip(1);
+/// Gate one records file; `args` are everything after `gate`.
+pub fn gate(args: &[String]) -> Result<(), String> {
+    let mut args = args.iter().cloned();
     let mut file = None;
     let mut filters = Vec::new();
     let mut requires = Vec::new();
@@ -131,7 +136,7 @@ fn run() -> Result<(), String> {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: bench-gate <records.json> [--where key=value]... [--require key<op>value]..."
+                    "usage: legodb-bench gate <records.json> [--where key=value]... [--require key<op>value]..."
                 );
                 return Ok(());
             }
@@ -141,7 +146,7 @@ fn run() -> Result<(), String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    let file = file.ok_or("no records file given (usage: bench-gate <records.json> ...)")?;
+    let file = file.ok_or("no records file given (usage: legodb-bench gate <records.json> ...)")?;
     if requires.is_empty() {
         return Err("no --require given; a gate with nothing to enforce is a bug".into());
     }
@@ -169,7 +174,7 @@ fn run() -> Result<(), String> {
 
     let mut failures = Vec::new();
     for req in &requires {
-        let observed = record.get(&req.key).and_then(Value::as_f64);
+        let observed = field(record, &req.key).and_then(Value::as_f64);
         match observed {
             None => failures.push(format!(
                 "  {}: field missing or non-numeric in matched record (required {} {})",
@@ -183,7 +188,7 @@ fn run() -> Result<(), String> {
                 req.op.name(),
                 req.value
             )),
-            Some(x) => eprintln!("bench-gate: ok{scope} {} = {x} ({})", req.key, req.raw),
+            Some(x) => eprintln!("gate: ok{scope} {} = {x} ({})", req.key, req.raw),
         }
     }
     if failures.is_empty() {
@@ -194,15 +199,5 @@ fn run() -> Result<(), String> {
             failures.join("\n"),
             record.render()
         ))
-    }
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench-gate: {msg}");
-            ExitCode::FAILURE
-        }
     }
 }

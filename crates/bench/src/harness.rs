@@ -1,7 +1,10 @@
-//! Shared experiment machinery: the paper's storage configurations, query
-//! costing helpers, and markdown rendering. Each `fig*`/`tab*` function
-//! returns the experiment's report as markdown; the binaries print it and
-//! `all_experiments` assembles `EXPERIMENTS.md`.
+//! The experiments: the paper's storage configurations, query costing
+//! helpers, and markdown rendering. Each `fig*`/`tab*` function returns
+//! the experiment's section as markdown; the measured experiments also
+//! return the JSON-lines records they add to their `BENCH_*.json` file
+//! ([`Report`]). The `legodb-bench` binary prints a section, appends the
+//! records with [`write_records`] under `--out`, and `legodb-bench all`
+//! assembles `EXPERIMENTS.md`.
 
 use legodb_core::cost::pschema_cost;
 use legodb_core::search::{greedy_search, SearchConfig, StartPoint};
@@ -24,9 +27,32 @@ use legodb_util::StdRng;
 use legodb_xml::stats::Statistics;
 use legodb_xquery::XQuery;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Statistics scale used by the experiments (full Appendix A numbers).
 pub const STATS_SCALE: f64 = 1.0;
+
+/// A measured experiment's output: its markdown section and the
+/// JSON-lines records it adds to its `BENCH_*.json` file.
+pub type Report = (String, Vec<String>);
+
+/// Parse a `--scales` list: comma-separated positive integers. One bad
+/// token rejects the whole list, so a typo never silently shrinks a run.
+pub fn parse_scales(list: &str) -> Result<Vec<u64>, String> {
+    list.split(',')
+        .map(|t| match t.trim().parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("--scales: '{t}' is not a positive integer")),
+        })
+        .collect()
+}
+
+/// Append `records` to the JSON-lines file `file` inside `out`.
+pub fn write_records(out: &Path, file: &str, records: Vec<String>) -> Result<(), String> {
+    let path = out.join(file);
+    legodb_util::bench::append_json_lines(&path, records)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
 
 /// The engine over the IMDB application with an arbitrary workload.
 pub fn engine(workload: Workload) -> LegoDb {
@@ -551,17 +577,16 @@ pub fn full_workload_costs() -> String {
     out
 }
 
-// ------------------------------------------------------------------ E7
+// ----------------------------------------------------------------- E12
 
 /// `search_incremental` (DESIGN.md §11): greedy-si over the IMDB
 /// application — the §5.2 lookup + publish mix — with incremental
 /// costing and memoization on vs. off. The off arm reprices every
 /// candidate from scratch (exactly the pre-incremental pipeline), so
 /// the two wall clocks measure what the `CostEvaluator` saves, and the
-/// final costs must agree bit-for-bit. Records are appended as
-/// JSON-lines to `$LEGODB_BENCH_JSON`, or `BENCH_search.json` when
-/// unset, so CI can assert a nonzero cache hit rate.
-pub fn search_incremental() -> String {
+/// final costs must agree bit-for-bit. The records carry the cache hit
+/// rate CI asserts is nonzero.
+pub fn search_incremental() -> Report {
     let schema = imdb_schema();
     let stats = scaled_statistics(STATS_SCALE);
     // The branch-balanced mix of Appendix C lookups: every query whose
@@ -631,13 +656,8 @@ pub fn search_incremental() -> String {
             .f64("speedup", speedup)
             .finish(),
     );
-    let path = std::env::var_os("LEGODB_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_search.json"));
-    if let Err(e) = legodb_util::bench::append_json_lines(&path, records) {
-        eprintln!("bench: cannot write {}: {e}", path.display());
-    }
-    let mut out = String::from("## E7 — incremental candidate costing: memoization on vs. off\n\n");
+    let mut out =
+        String::from("## E12 — incremental candidate costing: memoization on vs. off\n\n");
     out.push_str(&md_table(
         &[
             "Memoization",
@@ -659,7 +679,7 @@ pub fn search_incremental() -> String {
             "NO — INVESTIGATE"
         },
     );
-    out
+    (out, records)
 }
 
 // ------------------------------------------------------------------ E8
@@ -740,27 +760,11 @@ fn scale_iteration_cap(scale: usize) -> usize {
 /// arms must agree on the final cost bit-for-bit (scheduling never
 /// changes results); the JSON records capture wall-clock, steal counts,
 /// and worker occupancy, and a per-scale summary records the
-/// steal-vs-sequential speedup the CI gate enforces at 10×.
-///
-/// Knobs: `LEGODB_SCALE_LIST` (comma-separated scale factors, default
-/// `1,10,100`) and `LEGODB_SCALE_REPS` (wall-clock repetitions per arm,
-/// minimum taken, default 2).
-pub fn search_scale() -> String {
-    let scales: Vec<usize> = std::env::var("LEGODB_SCALE_LIST")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|x| x.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 10, 100]);
-    let reps: usize = std::env::var("LEGODB_SCALE_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-        .max(1);
-
+/// steal-vs-sequential speedup the CI gate enforces at 10×. `scales`
+/// are multiples of the IMDB type count; each arm's wall clock is the
+/// minimum of two repetitions.
+pub fn search_scale(scales: &[u64]) -> Report {
+    let reps = 2;
     let arms: [(&str, bool); 2] = [("sequential", false), ("work-stealing", true)];
 
     let mut rows = Vec::new();
@@ -770,7 +774,8 @@ pub fn search_scale() -> String {
          Generated mega-schemas (seed 0), 12 lookups + 2 publishes, \
          greedy-si, incremental costing on.\n\n",
     );
-    for &scale in &scales {
+    for &scale in scales {
+        let scale = scale as usize;
         let mega = mega_schema(&MegaConfig::imdb_scaled(scale));
         let workload = mega_workload(&mega);
         let cap = scale_iteration_cap(scale);
@@ -858,12 +863,6 @@ pub fn search_scale() -> String {
             }
         );
     }
-    let path = std::env::var_os("LEGODB_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_search.json"));
-    if let Err(e) = legodb_util::bench::append_json_lines(&path, records) {
-        eprintln!("bench: cannot write {}: {e}", path.display());
-    }
     out.push('\n');
     out.push_str(&md_table(
         &[
@@ -878,7 +877,7 @@ pub fn search_scale() -> String {
         ],
         &rows,
     ));
-    out
+    (out, records)
 }
 
 // ------------------------------------------------------------------ E9
@@ -894,29 +893,14 @@ fn must<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
     }
 }
 
-/// Scales for the durability experiment: `LEGODB_RECOVERY_SCALES` is a
-/// comma list of corpus percentages (scale unit = 1% of the Appendix A
-/// IMDB corpus, ~348 shows); the default `1,10` probes a 10× spread.
-fn recovery_scales() -> Vec<u64> {
-    std::env::var("LEGODB_RECOVERY_SCALES")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 10])
-}
-
 /// The durability experiment (DESIGN.md §14): shred a generated IMDB
 /// document, stream it into a durable database (WAL append + fsync per
 /// table, checkpoint at the halfway point so recovery exercises both the
 /// checkpoint restore *and* the WAL tail replay), then reopen and check
-/// the recovered state is byte-identical. JSON-lines records land in
-/// `BENCH_recovery.json` (or `$LEGODB_BENCH_JSON`); CI gates on
-/// `replay_match == 1` at every scale.
-pub fn recovery() -> String {
+/// the recovered state is byte-identical; CI gates on `replay_match == 1`
+/// at every scale. The scale unit is 1% of the Appendix A IMDB corpus
+/// (~348 shows) — the same unit as the ingest and layout experiments.
+pub fn recovery(scales: &[u64]) -> Report {
     let pschema = derive_pschema(&imdb_schema(), InlineStyle::Inlined);
     let root = must(
         DirHandle::create("target/bench_recovery"),
@@ -934,7 +918,7 @@ pub fn recovery() -> String {
         must(db.commit(), "commit");
     }
 
-    for scale in recovery_scales() {
+    for &scale in scales {
         let mut rng = StdRng::seed_from_u64(0x001E_60DB ^ scale);
         let doc = generate_imdb(&mut rng, &ScaleConfig::at_scale(0.01 * scale as f64));
         let stats = Statistics::collect(&doc);
@@ -997,12 +981,6 @@ pub fn recovery() -> String {
         );
     }
 
-    let path = std::env::var_os("LEGODB_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_recovery.json"));
-    if let Err(e) = legodb_util::bench::append_json_lines(&path, records) {
-        eprintln!("bench: cannot write {}: {e}", path.display());
-    }
     let mut out =
         String::from("## E9 — durable load, checkpoint, and WAL replay (scale unit = 1% IMDB)\n\n");
     out.push_str(&md_table(
@@ -1017,24 +995,10 @@ pub fn recovery() -> String {
         ],
         &rows_out,
     ));
-    out
+    (out, records)
 }
 
 // ----------------------------------------------------------------- E10
-
-/// Scales for the ingest experiment (`LEGODB_INGEST_SCALES`, same 1% unit
-/// as the recovery bench; default `1,10`).
-fn ingest_scales() -> Vec<u64> {
-    std::env::var("LEGODB_INGEST_SCALES")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 10])
-}
 
 /// The streaming-ingest experiment (DESIGN.md §15): shred a generated
 /// IMDB corpus twice — the DOM path (`parse` then `shred_dom`: build the
@@ -1045,16 +1009,13 @@ fn ingest_scales() -> Vec<u64> {
 /// together with `streaming_speedup > 1`). A third arm loads the shredded
 /// rows into a durable database through `Database::insert_batch`, one
 /// batch per table, counting WAL fsyncs to demonstrate group commit
-/// (`fsyncs_per_batch <= 1`).
-pub fn ingest() -> String {
+/// (`fsyncs_per_batch <= 1`). Each shred's wall clock is the minimum of
+/// two repetitions.
+pub fn ingest(scales: &[u64]) -> Report {
     use legodb_pschema::{shred_dom, shred_events_report};
     use legodb_xml::{events, parse};
 
-    let reps: usize = std::env::var("LEGODB_INGEST_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-        .max(1);
+    let reps = 2;
     let pschema = derive_pschema(&imdb_schema(), InlineStyle::Inlined);
     let root = must(
         DirHandle::create("target/bench_ingest"),
@@ -1063,7 +1024,7 @@ pub fn ingest() -> String {
     let mut rows_out = Vec::new();
     let mut records = Vec::new();
 
-    for scale in ingest_scales() {
+    for &scale in scales {
         let mut rng = StdRng::seed_from_u64(0x001A_6E57 ^ scale);
         let doc = generate_imdb(&mut rng, &ScaleConfig::at_scale(0.01 * scale as f64));
         let xml = doc.to_xml();
@@ -1174,12 +1135,6 @@ pub fn ingest() -> String {
         );
     }
 
-    let path = std::env::var_os("LEGODB_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_ingest.json"));
-    if let Err(e) = legodb_util::bench::append_json_lines(&path, records) {
-        eprintln!("bench: cannot write {}: {e}", path.display());
-    }
     let mut out = String::from(
         "## E10 — streaming ingest: DOM shred vs event-pull shred (scale unit = 1% IMDB)\n\n\
          Peak = resident XML elements; budget demo: the streaming path stays \
@@ -1201,24 +1156,10 @@ pub fn ingest() -> String {
         ],
         &rows_out,
     ));
-    out
+    (out, records)
 }
 
 // ----------------------------------------------------------------- E11
-
-/// Scales for the layout experiment (`LEGODB_LAYOUT_SCALES`, same 1% unit
-/// as the recovery bench; default `1,10`).
-fn layout_scales() -> Vec<u64> {
-    std::env::var("LEGODB_LAYOUT_SCALES")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 10])
-}
 
 /// The point-lookup side of the layout decision: Appendix C's Q1–Q6, the
 /// show lookups that fetch whole tuples through an index.
@@ -1276,18 +1217,13 @@ fn layout_run(
 /// heap; the all-row and mixed-layout builds must answer Q1–Q18
 /// bit-identically (`results_match`, gated in CI); and narrow-projection
 /// analytic scans must run faster against the column store
-/// (`columnar_agg_speedup`, gated at 10×). JSON-lines records land in
-/// `BENCH_layout.json` (or `$LEGODB_BENCH_JSON`).
-pub fn layout() -> String {
+/// (`columnar_agg_speedup`, gated at 10×; minimum of three repetitions).
+pub fn layout(scales: &[u64]) -> Report {
     use legodb_core::transform::TransformationSet;
     use legodb_optimizer::IndexAssumption;
     use legodb_xquery::parse_xquery;
 
-    let reps: usize = std::env::var("LEGODB_LAYOUT_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let reps = 3;
     // Analytic scan set: narrow projections over the wide entity tables.
     // The row path clones whole tuples (50-byte titles, 120-byte
     // descriptions) and projects afterwards; the column store reads only
@@ -1333,7 +1269,7 @@ pub fn layout() -> String {
     // reason that evaporates at production size.
     let design_stats = scaled_statistics(STATS_SCALE);
 
-    for scale in layout_scales() {
+    for &scale in scales {
         let mut rng = StdRng::seed_from_u64(0x001A_707E ^ scale);
         let doc = generate_imdb(&mut rng, &ScaleConfig::at_scale(0.01 * scale as f64));
         let stats = Statistics::collect(&doc);
@@ -1473,12 +1409,6 @@ pub fn layout() -> String {
         );
     }
 
-    let path = std::env::var_os("LEGODB_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_layout.json"));
-    if let Err(e) = legodb_util::bench::append_json_lines(&path, records) {
-        eprintln!("bench: cannot write {}: {e}", path.display());
-    }
     let mut out = String::from(
         "## E11 — layout-aware search: row heap vs column store (scale unit = 1% IMDB)\n\n\
          Per-table layouts chosen by greedy `set-layout` moves under the \
@@ -1500,29 +1430,5 @@ pub fn layout() -> String {
         ],
         &rows_out,
     ));
-    out
-}
-
-/// Run one experiment section on the `legodb_util::bench` monotonic
-/// clock. The rendered markdown is returned unchanged; when
-/// `LEGODB_BENCH_JSON` is set, a `{"experiment": ..., "wall_ms": ...}`
-/// record is appended to that file so CI archives experiment wall times
-/// alongside the micro-bench samples.
-pub fn timed_experiment(name: &str, f: impl FnOnce() -> String) -> String {
-    let (report, elapsed) = legodb_util::bench::time_once(f);
-    eprintln!(
-        "{name}: {}",
-        legodb_util::bench::fmt_ns(elapsed.as_nanos() as f64)
-    );
-    if let Some(path) = std::env::var_os("LEGODB_BENCH_JSON") {
-        let path = std::path::PathBuf::from(path);
-        let line = legodb_util::json::JsonObject::new()
-            .str("experiment", name)
-            .f64("wall_ms", elapsed.as_secs_f64() * 1e3)
-            .finish();
-        if let Err(e) = legodb_util::bench::append_json_lines(&path, [line]) {
-            eprintln!("bench: cannot write {}: {e}", path.display());
-        }
-    }
-    report
+    (out, records)
 }

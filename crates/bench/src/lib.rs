@@ -1,9 +1,12 @@
 //! # legodb-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`), shared helpers here, and Criterion benches for the
-//! machinery itself under `benches/`.
+//! The experiment harness: one `legodb-bench <experiment>` binary
+//! (`src/main.rs`) for every table/figure of the paper, the experiments
+//! themselves in [`harness`], the threshold checker CI runs over their
+//! records in [`gate`], and micro-benches of the machinery under
+//! `benches/`.
 
 #![forbid(unsafe_code)]
 
+pub mod gate;
 pub mod harness;

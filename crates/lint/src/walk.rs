@@ -89,10 +89,7 @@ mod tests {
         assert_eq!(classify("crates/core/src/engine.rs"), FileKind::Lib);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
         assert_eq!(classify("crates/lint/src/main.rs"), FileKind::Bin);
-        assert_eq!(
-            classify("crates/bench/src/bin/all_experiments.rs"),
-            FileKind::Bin
-        );
+        assert_eq!(classify("crates/demo/src/bin/tool.rs"), FileKind::Bin);
         assert_eq!(classify("tests/pipeline.rs"), FileKind::Test);
         assert_eq!(classify("crates/xml/tests/adversarial.rs"), FileKind::Test);
         assert_eq!(

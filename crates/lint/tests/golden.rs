@@ -7,7 +7,8 @@
 //! `<name>.expected` file line for line.
 //!
 //! To regenerate the `.expected` files after an intentional rule or
-//! message change, run with `LEGODB_LINT_BLESS=1` and review the diff.
+//! message change, run the ignored `bless_fixtures` test and review the
+//! diff: `cargo test -p legodb-lint --test golden -- --ignored`.
 
 use legodb_lint::{classify, lint_source};
 use std::fs;
@@ -43,19 +44,23 @@ fn rendered_diagnostics(fixture: &Path) -> String {
 }
 
 #[test]
+#[ignore = "rewrites the .expected files; run with --ignored after a rule change"]
+fn bless_fixtures() {
+    for fixture in fixture_paths() {
+        let got = rendered_diagnostics(&fixture);
+        fs::write(fixture.with_extension("expected"), got).expect("write .expected");
+    }
+}
+
+#[test]
 fn fixtures_match_their_expected_diagnostics() {
-    let bless = std::env::var_os("LEGODB_LINT_BLESS").is_some();
     let mut failures = Vec::new();
     for fixture in fixture_paths() {
         let got = rendered_diagnostics(&fixture);
         let expected_path = fixture.with_extension("expected");
-        if bless {
-            fs::write(&expected_path, &got).expect("write .expected");
-            continue;
-        }
         let expected = fs::read_to_string(&expected_path).unwrap_or_else(|_| {
             panic!(
-                "{} is missing — run with LEGODB_LINT_BLESS=1 to create it",
+                "{} is missing — run the ignored bless_fixtures test to create it",
                 expected_path.display()
             )
         });
@@ -77,7 +82,6 @@ fn fixtures_match_their_expected_diagnostics() {
             ));
         }
     }
-    assert!(!bless, "blessed fixtures — rerun without LEGODB_LINT_BLESS");
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 

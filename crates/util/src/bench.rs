@@ -4,8 +4,10 @@
 //! Each benchmark runs a warmup, then takes `samples` timing samples on
 //! [`std::time::Instant`]; fast bodies are batched so every sample spans
 //! at least [`BenchConfig::min_sample_ns`]. Results print as a table and
-//! are appended as JSON-lines to the path in `LEGODB_BENCH_JSON` (if
-//! set), one object per benchmark, so CI can archive and diff runs.
+//! are appended as JSON-lines to the file named by `--out FILE` (if
+//! given), one object per benchmark, so CI can archive and diff runs;
+//! `--samples N` overrides the sample count. Both go after the `--`:
+//! `cargo bench -p legodb-bench --bench machinery -- --samples 10 --out FILE`.
 //!
 //! ```no_run
 //! let mut bench = legodb_util::bench::Bench::from_args();
@@ -26,7 +28,7 @@ use crate::json::JsonObject;
 use std::io::Write as _;
 use std::time::Instant;
 
-/// Harness knobs; env overrides `LEGODB_BENCH_WARMUP` / `LEGODB_BENCH_SAMPLES`.
+/// Harness settings; [`Bench::from_args`] takes `samples` from `--samples`.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Calls of the body before measurement starts.
@@ -39,12 +41,9 @@ pub struct BenchConfig {
 
 impl Default for BenchConfig {
     fn default() -> BenchConfig {
-        let parse = |var: &str| std::env::var(var).ok().and_then(|v| v.parse().ok());
         BenchConfig {
-            warmup_iters: parse("LEGODB_BENCH_WARMUP").unwrap_or(5),
-            samples: parse("LEGODB_BENCH_SAMPLES")
-                .map(|n: u64| n as usize)
-                .unwrap_or(30),
+            warmup_iters: 5,
+            samples: 30,
             min_sample_ns: 50_000,
         }
     }
@@ -98,25 +97,37 @@ impl Bench {
     /// A harness honoring the CLI contract of `harness = false` targets:
     /// `--bench` (passed by `cargo bench`) enables full measurement,
     /// anything else — including `cargo test --benches` — gets smoke
-    /// mode; a bare argument filters benchmarks by substring, and
-    /// `LEGODB_BENCH_JSON` names the JSON-lines output.
+    /// mode; a bare argument filters benchmarks by substring,
+    /// `--samples N` sets the sample count and `--out FILE` names the
+    /// JSON-lines output. A bad `--samples` or `--out` exits with status 2.
     pub fn from_args() -> Bench {
         let mut bench_mode = false;
         let mut test_mode = false;
         let mut filter = None;
-        for arg in std::env::args().skip(1) {
+        let mut config = BenchConfig::default();
+        let mut json_path = None;
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--bench" => bench_mode = true,
                 "--test" => test_mode = true,
+                "--samples" => match args.next().and_then(|n| n.parse().ok()) {
+                    Some(n) if n > 0 => config.samples = n,
+                    _ => usage_error("--samples needs a positive integer"),
+                },
+                "--out" => match args.next() {
+                    Some(path) => json_path = Some(path.into()),
+                    None => usage_error("--out needs a file"),
+                },
                 a if !a.starts_with('-') => filter = Some(a.to_string()),
                 _ => {}
             }
         }
         let test_mode = test_mode || !bench_mode;
         Bench {
-            config: BenchConfig::default(),
+            config,
             test_mode,
-            json_path: std::env::var_os("LEGODB_BENCH_JSON").map(Into::into),
+            json_path,
             filter,
             results: Vec::new(),
         }
@@ -181,6 +192,11 @@ impl Bench {
         }
         std::mem::take(&mut self.results)
     }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench: {msg}");
+    std::process::exit(2)
 }
 
 /// Measurement context handed to the benchmark closure.

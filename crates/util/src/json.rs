@@ -1,5 +1,5 @@
 //! A tiny JSON writer *and reader* — just enough to emit the bench
-//! harness's JSON-lines records and read them back in `bench-gate`,
+//! harness's JSON-lines records and read them back in `legodb-bench gate`,
 //! without an external serialization crate. The reader is a full
 //! recursive-descent JSON parser (RFC 8259), but the workspace only ever
 //! round-trips the flat objects [`JsonObject`] produces.

@@ -44,17 +44,7 @@ pub fn panic_message(payload: &CaughtPanic) -> &str {
 }
 
 /// The machine's available parallelism (1 when it cannot be determined).
-///
-/// `LEGODB_THREADS` overrides the detected count — useful for forcing
-/// real thread interleaving on single-core machines (determinism tests)
-/// or pinning bench runs to a fixed worker count.
 pub fn available_threads() -> usize {
-    if let Some(n) = std::env::var("LEGODB_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
     std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1)
