@@ -7,7 +7,8 @@
 #
 # Usage: ./ci.sh [stage...]
 #   fmt       rustfmt check
-#   lint      legodb-lint static analysis gate (+ clippy when available)
+#   lint      legodb-lint static analysis gate (+ clippy when available),
+#             plus the per-tree code size record target/ci/LOC.jsonl
 #   test      plain workspace test pass
 #   fault     fault-injection test pass (LEGODB_FAULT_SEED=1)
 #   recovery  seeded crash-recovery property across 16 seed streams
@@ -49,6 +50,7 @@ stage_lint() {
     echo "==> legodb-lint (static analysis gate)"
     cargo run --release --offline -q -p legodb-lint -- \
         --json "$ARTIFACTS/LINT_report.jsonl"
+    record_loc "$ARTIFACTS/LOC.jsonl"
 
     # Clippy ships with rustup toolchains but not every minimal
     # container; soft-fail only when the component itself is absent.
@@ -58,6 +60,20 @@ stage_lint() {
     else
         echo "==> cargo clippy unavailable; skipping lint step"
     fi
+}
+
+# Code size trend (ROADMAP item 10): one JSON line per crate and per
+# top-level Rust tree with its count of non-blank lines in *.rs files.
+# Recorded beside the lint report, never gated.
+record_loc() {
+    local out="$1" tree lines
+    echo "==> code size per tree -> $out"
+    : > "$out"
+    for tree in crates/* src tests examples pipebench; do
+        lines=$(find "$tree" -name '*.rs' -not -path '*/target/*' -print0 |
+            xargs -0 -r cat | grep -cv '^[[:space:]]*$' || true)
+        printf '{"tree":"%s","nonblank_rs_lines":%s}\n' "$tree" "${lines:-0}" >> "$out"
+    done
 }
 
 stage_test() {

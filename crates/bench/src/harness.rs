@@ -144,27 +144,28 @@ pub fn fig06() -> String {
         ("Map 3 (union dist.)", map_union_distributed()),
     ];
     let queries = fig5_queries();
-    let mut rows = Vec::new();
-    let mut baseline: Vec<f64> = Vec::new();
-    for (qi, (name, q)) in queries.iter().enumerate() {
-        let mut row = vec![name.to_string()];
-        for (mi, (_, map)) in maps.iter().enumerate() {
-            let c = query_cost(map, &stats, name, q);
-            if mi == 0 {
-                baseline.push(c);
-            }
-            row.push(fmt3(c / baseline[qi]));
-        }
-        rows.push(row);
+    let mut costs: Vec<(String, Vec<f64>)> = Vec::new();
+    for (name, q) in &queries {
+        let per_map = maps.iter().map(|(_, map)| query_cost(map, &stats, name, q));
+        costs.push((name.to_string(), per_map.collect()));
     }
     for (wname, w) in [("W1", workload_w1()), ("W2", workload_w2())] {
-        let mut row = vec![wname.to_string()];
-        let base = workload_cost(&maps[0].1, &stats, &w);
-        for (_, map) in &maps {
-            row.push(fmt3(workload_cost(map, &stats, &w) / base));
-        }
-        rows.push(row);
+        let per_map = maps.iter().map(|(_, map)| workload_cost(map, &stats, &w));
+        costs.push((wname.to_string(), per_map.collect()));
     }
+    let rows: Vec<Vec<String>> = costs
+        .iter()
+        .map(|(name, c)| {
+            let normalized = c.iter().map(|x| fmt3(x / c[0]));
+            std::iter::once(name.clone()).chain(normalized).collect()
+        })
+        .collect();
+    // Rows whose minimum is Map 1's cost.
+    let map1_cheapest: Vec<&str> = costs
+        .iter()
+        .filter(|(_, c)| c[1..].iter().all(|&x| c[0] <= x))
+        .map(|(name, _)| name.as_str())
+        .collect();
     let mut out =
         String::from("## E1 — Figure 6: storage map comparison (costs normalized by Map 1)\n\n");
     out.push_str(&md_table(
@@ -180,6 +181,16 @@ pub fn fig06() -> String {
         "\nPaper shape: Map 2 wins review-heavy queries (Q1/W1-style), Map 3 wins \
          lookups and W2 (union distribution narrows Show), Map 1 never wins.\n",
     );
+    if map1_cheapest.is_empty() {
+        out.push_str("\nMeasured: Map 1 is cheapest on no row, as the paper's shape states.\n");
+    } else {
+        let _ = writeln!(
+            out,
+            "\nMeasured deviation: Map 1 is cheapest on {} (the row minimum), \
+             against the paper's shape; see ROADMAP items 3 and 12.",
+            map1_cheapest.join(", ")
+        );
+    }
     out
 }
 
@@ -951,7 +962,7 @@ pub fn recovery(scales: &[u64]) -> Report {
         let (recovered, replay_wall) =
             legodb_util::bench::time_once(|| must(Database::open(&dir), "recovery open"));
         let replay_ms = replay_wall.as_secs_f64() * 1e3;
-        let replay_match = recovered.snapshot_json() == db.snapshot_json();
+        let replay_match = recovered.snapshot() == db.snapshot();
         let total_rows = db.total_rows() as u64;
 
         rows_out.push(vec![
@@ -1065,7 +1076,7 @@ pub fn ingest(scales: &[u64]) -> Report {
         let (stream_db, report) = stream_result.expect("at least one repetition ran");
 
         let rows = dom_db.total_rows() as u64;
-        let rows_match = dom_db.snapshot_json() == stream_db.snapshot_json();
+        let rows_match = dom_db.snapshot() == stream_db.snapshot();
         let speedup = dom_secs / stream_secs.max(1e-9);
         let stream_mb_s = mb / stream_secs.max(1e-9);
         let dom_mb_s = mb / dom_secs.max(1e-9);

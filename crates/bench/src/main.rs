@@ -33,8 +33,8 @@ const EXPERIMENTS: &[Experiment] = &[
     ("full_workload_costs", &[], |_| {
         (harness::full_workload_costs(), Vec::new())
     }),
-    ("search_incremental", &[], |_| harness::search_incremental()),
     ("recovery", &[1, 10], harness::recovery),
+    ("search_incremental", &[], |_| harness::search_incremental()),
     ("search_scale", &[1, 10, 100], harness::search_scale),
     ("ingest", &[1, 10], harness::ingest),
     ("layout", &[1, 10], harness::layout),

@@ -108,8 +108,11 @@ pub fn optimize(
         return finish(catalog, query, root, config);
     }
 
-    // System-R DP over connected subsets (with cross products allowed only
-    // when a subset has no connecting edge at all).
+    // System-R DP over every subset and every split of it. A split whose
+    // halves share no join edge is still priced: `join_subplans` returns a
+    // nested-loop cross product for it, whether or not the query is
+    // connected. ROADMAP item 1 (the join DP) is the change that will
+    // alter this.
     let full: u64 = if n == 64 { u64::MAX } else { (1 << n) - 1 };
     for size in 2..=n {
         for subset in subsets_of_size(n, size) {

@@ -1511,7 +1511,7 @@ mod tests {
         let dom = shred_dom(&m, &parse(xml).unwrap()).unwrap();
         let (streamed, report) = shred_events_report(&m, events(xml)).unwrap();
         assert!(report.streamed);
-        assert_eq!(dom.snapshot_json(), streamed.snapshot_json());
+        assert_eq!(dom.snapshot(), streamed.snapshot());
         let directed = dom.table("Directed").unwrap();
         let tilde = directed.scan()[0][directed.def.column_index("tilde").unwrap()].clone();
         (tilde, m, dom)
@@ -1568,8 +1568,8 @@ mod tests {
         let dom = shred_dom(&m, &sample_doc()).unwrap();
         let wrapped = shred(&m, &sample_doc()).unwrap();
         let (streamed, report) = shred_events_report(&m, events(sample_xml())).unwrap();
-        assert_eq!(dom.snapshot_json(), wrapped.snapshot_json());
-        assert_eq!(dom.snapshot_json(), streamed.snapshot_json());
+        assert_eq!(dom.snapshot(), wrapped.snapshot());
+        assert_eq!(dom.snapshot(), streamed.snapshot());
         assert!(report.streamed);
         assert_eq!(report.rows as usize, dom.total_rows());
     }
@@ -1598,10 +1598,7 @@ mod tests {
             "peak {} vs total {total}",
             report.peak_resident_elements
         );
-        assert_eq!(
-            db.snapshot_json(),
-            shred_dom(&m, &doc).unwrap().snapshot_json()
-        );
+        assert_eq!(db.snapshot(), shred_dom(&m, &doc).unwrap().snapshot());
     }
 
     #[test]
@@ -1618,7 +1615,7 @@ mod tests {
         let (db, report) = shred_events_report(&m, events(xml)).unwrap();
         assert!(!report.streamed);
         let dom = shred_dom(&m, &parse(xml).unwrap()).unwrap();
-        assert_eq!(db.snapshot_json(), dom.snapshot_json());
+        assert_eq!(db.snapshot(), dom.snapshot());
     }
 
     #[test]
@@ -1635,7 +1632,7 @@ mod tests {
         let (db, report) = shred_events_report(&m, events(xml)).unwrap();
         assert!(report.streamed);
         let dom = shred_dom(&m, &parse(xml).unwrap()).unwrap();
-        assert_eq!(db.snapshot_json(), dom.snapshot_json());
+        assert_eq!(db.snapshot(), dom.snapshot());
     }
 
     #[test]
@@ -1665,7 +1662,7 @@ mod tests {
             match (stream, dom) {
                 (Ok((sdb, report)), Ok(ddb)) => {
                     assert!(report.streamed, "{xml}");
-                    assert_eq!(sdb.snapshot_json(), ddb.snapshot_json(), "{xml}");
+                    assert_eq!(sdb.snapshot(), ddb.snapshot(), "{xml}");
                 }
                 (Err(se), Err(de)) => assert_eq!(se, de, "{xml}"),
                 (Ok(_), Err(de)) => panic!("{xml}: stream ok but dom rejected: {de}"),

@@ -30,17 +30,6 @@ pub enum Layout {
     Columnar,
 }
 
-impl Layout {
-    /// Parse the serialized name (see [`std::fmt::Display`]).
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "row" => Some(Layout::Row),
-            "columnar" => Some(Layout::Columnar),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -273,11 +262,6 @@ impl Catalog {
         self.tables.get(name)
     }
 
-    /// Mutable lookup.
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut TableDef> {
-        self.tables.get_mut(name)
-    }
-
     /// Tables in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &TableDef> {
         self.order.iter().filter_map(move |n| self.tables.get(n))
@@ -301,12 +285,6 @@ impl Catalog {
             out.push('\n');
         }
         out
-    }
-
-    /// Total data pages across all tables (a coarse size-of-database
-    /// figure used in experiments).
-    pub fn total_pages(&self) -> f64 {
-        self.iter().map(TableDef::pages).sum()
     }
 }
 
@@ -402,11 +380,6 @@ mod tests {
         let all = t.columnar_scan_pages(None);
         assert!(all < t.pages());
         assert!((all - 34798.0 * 74.0 / 8192.0).abs() < 1e-6);
-        // Layout round-trips through parse/Display.
-        for l in [Layout::Row, Layout::Columnar] {
-            assert_eq!(Layout::parse(&l.to_string()), Some(l));
-        }
-        assert_eq!(Layout::parse("paged"), None);
         assert_eq!(TableDef::new("T").layout, Layout::Row);
         assert_eq!(
             TableDef::new("T").with_layout(Layout::Columnar).layout,

@@ -33,8 +33,9 @@ pub enum RelationalError {
     /// failed and the rendered OS error (kept as a `String` so the error
     /// type stays `Clone + PartialEq + Eq`).
     Io { context: String, message: String },
-    /// Durable state that passed its checksum but failed to decode — a
-    /// software bug or out-of-band corruption, never silently dropped.
+    /// Durable state that cannot be read back — a checksum-valid record
+    /// that fails to decode, or a torn checkpoint frame: a software bug or
+    /// out-of-band corruption, never silently dropped.
     Corrupt { context: String },
     /// A durable operation was attempted on a WAL that already observed a
     /// write failure; the log contents past that point are unknown, so

@@ -15,13 +15,20 @@ use crate::wal::{self, Wal, WalRecord};
 use crate::ROW_OVERHEAD;
 use legodb_util::fault::failpoint;
 use legodb_util::fs::DirHandle;
-use legodb_util::json::{self, Value as JValue};
 use legodb_util::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 
-/// File name of the checkpoint document inside a database directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
+/// File name of the checkpoint inside a database directory: WAL frames
+/// (see `wal.rs`), installed atomically by [`Database::checkpoint`].
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+
+/// Where the JSON checkpoint format lived. [`Database::open`] refuses a
+/// directory that still holds one rather than open it without its rows.
+const JSON_CHECKPOINT_FILE: &str = "checkpoint.json";
+
+/// Most rows one checkpoint `Insert` frame carries.
+const CHECKPOINT_CHUNK_ROWS: usize = 1024;
 
 /// A row: one value per column of the owning table.
 pub type Row = Vec<Value>;
@@ -30,7 +37,8 @@ pub type Row = Vec<Value>;
 /// [`Table::storage_stats`]: the row heap reports zero materialized
 /// column vectors and byte-estimates rows at their measured width plus
 /// [`ROW_OVERHEAD`]; the column store reports its vector count and the
-/// exact bytes held in vectors + null bitmaps.
+/// exact bytes held in vectors + null bitmaps. In memory only: checkpoints
+/// and snapshots do not record them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageStats {
     /// Which storage engine holds the data.
@@ -450,8 +458,7 @@ impl Table {
         }
     }
 
-    /// Per-layout physical storage statistics (see
-    /// [`Database::snapshot_json`]'s `storage` block).
+    /// Per-layout physical storage statistics (see [`StorageStats`]).
     pub fn storage_stats(&self) -> StorageStats {
         match &self.store {
             TableStore::Row(rows) => {
@@ -548,13 +555,6 @@ impl Database {
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable lookup (for `analyze`).
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, RelationalError> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
-    }
-
     /// Insert into a named table. On a durable database the row is
     /// validated, WAL-logged, then applied — so the log never carries a
     /// row the engine would reject, and a logged row is always
@@ -563,7 +563,7 @@ impl Database {
         let t = self.table(table)?;
         if let Some(wal) = &self.wal {
             t.validate_row(&row)?;
-            wal.append_insert(table, &row)?;
+            wal.append_insert(table, std::slice::from_ref(&row))?;
         }
         t.insert(row)
     }
@@ -573,7 +573,7 @@ impl Database {
     /// *single* WAL frame, and one fsync makes it durable — so the
     /// durability cost is one fsync per batch, not per row. The single
     /// frame also means crash recovery keeps or drops the batch wholly
-    /// (see [`WalRecord::InsertBatch`]); a crash mid-ingest recovers a
+    /// (see [`WalRecord::Insert`]); a crash mid-ingest recovers a
     /// prefix of complete batches, never a torn one.
     ///
     /// On an in-memory database this is plain bulk insert. An empty batch
@@ -587,7 +587,7 @@ impl Database {
             for row in &rows {
                 t.validate_row(row)?;
             }
-            wal.append_insert_batch(table, &rows)?;
+            wal.append_insert(table, &rows)?;
             wal.commit()?;
         }
         for row in rows {
@@ -619,43 +619,50 @@ impl Database {
 
     // -- durability ---------------------------------------------------------
 
-    /// Open (or create) a durable database in `dir`: restore the latest
-    /// checkpoint, then replay the WAL tail. Replay is idempotent —
-    /// records at or below the checkpoint's LSN are skipped, so a crash
-    /// between checkpoint install and WAL truncation (or a double `open`)
-    /// never applies an operation twice. The WAL's torn tail, if any, is
-    /// truncated as a side effect (see `wal.rs`).
+    /// Open (or create) a durable database in `dir`: one loop applies the
+    /// latest checkpoint's records, then the WAL tail's. Replay is
+    /// idempotent — WAL records at or below the checkpoint's LSN are
+    /// skipped, so a crash between checkpoint install and WAL truncation
+    /// (or a double `open`) never applies an operation twice. The WAL's
+    /// torn tail is truncated (see `wal.rs`); the checkpoint was installed
+    /// atomically, so a torn frame in it is [`RelationalError::Corrupt`].
     pub fn open(dir: &DirHandle) -> Result<Database, RelationalError> {
-        let mut db = Database::new();
-        let mut last_lsn = 0u64;
-        if let Some(bytes) = dir
+        if dir
+            .exists(JSON_CHECKPOINT_FILE)
+            .map_err(|e| wal::io_err("checkpoint stat", &e))?
+        {
+            return Err(wal::corrupt(
+                "checkpoint.json is a JSON checkpoint, which is not read",
+            ));
+        }
+        let checkpoint = dir
             .read_opt(CHECKPOINT_FILE)
             .map_err(|e| wal::io_err("checkpoint read", &e))?
-        {
-            last_lsn = db.restore_checkpoint(&bytes)?;
+            .unwrap_or_default();
+        let (restored, whole) = wal::scan_frames(&checkpoint)?;
+        if whole != checkpoint.len() as u64 {
+            return Err(wal::corrupt("torn or checksum-failing checkpoint frame"));
         }
-        let (wal_handle, records) = Wal::open(dir)?;
-        let mut max_lsn = last_lsn;
-        for (lsn, record) in records {
-            if lsn <= last_lsn {
-                continue; // already captured by the checkpoint
-            }
+        let last_lsn = restored.first().map_or(0, |(lsn, _)| *lsn);
+        if restored.iter().any(|(lsn, _)| *lsn != last_lsn) {
+            return Err(wal::corrupt("checkpoint frames disagree on the LSN"));
+        }
+        let (wal_handle, tail) = Wal::open(dir, last_lsn)?;
+        let mut db = Database::new();
+        for (_, record) in restored.into_iter().chain(tail) {
             db.apply(record)?;
-            max_lsn = lsn;
         }
-        wal_handle.set_next_lsn(max_lsn + 1);
         db.wal = Some(wal_handle);
         Ok(db)
     }
 
-    /// Apply one replayed WAL record. Only called before the WAL handle
-    /// is attached, so nothing here re-logs.
+    /// Apply one restored or replayed record. Only called before the WAL
+    /// handle is attached, so nothing here re-logs.
     fn apply(&mut self, record: WalRecord) -> Result<(), RelationalError> {
         match record {
             WalRecord::CreateTable(def) => self.create_table(def),
             WalRecord::CreateIndex { table, column } => self.table(&table)?.create_index(&column),
-            WalRecord::Insert { table, row } => self.table(&table)?.insert(row),
-            WalRecord::InsertBatch { table, rows } => {
+            WalRecord::Insert { table, rows } => {
                 let t = self.table(&table)?;
                 for row in rows {
                     t.insert(row)?;
@@ -663,45 +670,6 @@ impl Database {
                 Ok(())
             }
         }
-    }
-
-    /// Parse and load a checkpoint document; returns its `last_lsn`.
-    fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<u64, RelationalError> {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| wal::corrupt("checkpoint is not UTF-8"))?;
-        let doc = json::parse(text).map_err(|e| wal::corrupt(&format!("checkpoint JSON: {e}")))?;
-        let last_lsn = wal::parse_u64_field(&doc, "last_lsn")?;
-        let tables = match doc.get("tables") {
-            Some(JValue::Array(items)) => items,
-            _ => return Err(wal::corrupt("checkpoint missing tables array")),
-        };
-        for t in tables {
-            let def_json = t
-                .get("def")
-                .ok_or_else(|| wal::corrupt("checkpoint table missing def"))?;
-            let def = wal::table_def_from_json(def_json)?;
-            let name = def.name.clone();
-            self.create_table(def)?;
-            let table = self.table(&name)?;
-            let rows = match t.get("rows") {
-                Some(JValue::Array(items)) => items,
-                _ => return Err(wal::corrupt("checkpoint table missing rows array")),
-            };
-            for row in rows {
-                table.insert(wal::row_from_json(row)?)?;
-            }
-            let indexes = match t.get("indexes") {
-                Some(JValue::Array(items)) => items,
-                _ => return Err(wal::corrupt("checkpoint table missing indexes array")),
-            };
-            for col in indexes {
-                let col = col
-                    .as_str()
-                    .ok_or_else(|| wal::corrupt("index column must be a string"))?;
-                table.create_index(col)?;
-            }
-        }
-        Ok(last_lsn)
     }
 
     /// Durably flush all WAL records appended so far (a commit
@@ -715,9 +683,11 @@ impl Database {
 
     /// Write a checkpoint of the full database state into `dir`
     /// (atomically: temp file + fsync + rename + dir fsync), then reclaim
-    /// the WAL. Rows are streamed via [`Table::for_each`] — checkpointing
-    /// never clones a table's row vector, so peak memory stays one copy
-    /// of the data plus the serialized text.
+    /// the WAL. The checkpoint is [`Database::snapshot`]'s frames stamped
+    /// with the last logged LSN. Rows are streamed via [`Table::for_each`]
+    /// into frames of at most `CHECKPOINT_CHUNK_ROWS`, so checkpointing
+    /// never clones a whole table: peak memory stays one copy of the data
+    /// plus the encoded frames.
     ///
     /// Crash windows, all covered by seeded failpoints:
     /// - before install (`checkpoint.serialize` / `checkpoint.install`):
@@ -730,15 +700,12 @@ impl Database {
         let key = last_lsn.to_string();
         failpoint("checkpoint.serialize", &key)
             .map_err(|f| wal::io_fault("checkpoint serialize", &f))?;
-        let doc = self.render_document(Some(last_lsn));
+        let frames = self.encode_frames(last_lsn);
         failpoint("checkpoint.install", &key)
             .map_err(|f| wal::io_fault("checkpoint install", &f))?;
-        dir.write_atomic(CHECKPOINT_FILE, doc.as_bytes())
+        dir.write_atomic(CHECKPOINT_FILE, &frames)
             .map_err(|e| wal::io_err("checkpoint install", &e))?;
-        match &self.wal {
-            Some(wal) => wal.truncate(),
-            None => Ok(()),
-        }
+        self.wal.as_ref().map_or(Ok(()), Wal::truncate)
     }
 
     /// True when this database writes through a WAL.
@@ -751,64 +718,41 @@ impl Database {
         self.wal.as_ref()
     }
 
-    /// A deterministic JSON snapshot of the full logical state (defs,
-    /// index columns, rows) **without** any durability bookkeeping — two
-    /// databases with identical contents render identical snapshots, so
-    /// tests and the recovery bench compare states byte-for-byte.
-    pub fn snapshot_json(&self) -> String {
-        self.render_document(None)
+    /// The full logical state (defs, rows, index columns) as checkpoint
+    /// frames at LSN 0: databases with identical contents encode identical
+    /// bytes, so tests and the recovery bench compare states byte-for-byte.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.encode_frames(0)
     }
 
-    fn render_document(&self, last_lsn: Option<u64>) -> String {
-        let mut out = String::from("{\"format\":1,");
-        if let Some(lsn) = last_lsn {
-            out.push_str("\"last_lsn\":\"");
-            out.push_str(&lsn.to_string());
-            out.push_str("\",");
-        }
-        out.push_str("\"tables\":[");
-        let mut first_table = true;
+    /// Every table in name order as frames stamped with `lsn`: its
+    /// `CreateTable`, its rows in `Insert` frames, then one `CreateIndex`
+    /// per indexed column (sorted).
+    fn encode_frames(&self, lsn: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut push = |record: WalRecord| {
+            out.extend_from_slice(&wal::encode_frame(&wal::encode_record(lsn, &record)));
+        };
         for table in self.tables.values() {
-            if !first_table {
-                out.push(',');
-            }
-            first_table = false;
-            out.push_str("{\"def\":");
-            out.push_str(&wal::table_def_json(&table.def).render());
-            // Physical storage block: which engine holds the rows and
-            // what it costs in memory. Recovery/restore ignores it (the
-            // def carries the layout); byte-compared snapshots include it
-            // so a layout regression is a visible diff.
-            let stats = table.storage_stats();
-            out.push_str(&format!(
-                ",\"storage\":{{\"columns_materialized\":{},\"est_bytes\":{},\"layout\":\"{}\",\"rows\":{}}}",
-                stats.columns_materialized,
-                json::Value::Number(stats.est_bytes).render(),
-                stats.layout,
-                stats.rows
-            ));
-            out.push_str(",\"indexes\":[");
-            let cols = table.index_columns();
-            for (i, col) in cols.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json::escape(col));
-                out.push('"');
-            }
-            out.push_str("],\"rows\":[");
-            let mut first_row = true;
+            let name = &table.def.name;
+            push(WalRecord::CreateTable(table.def.clone()));
+            let mut rows = Vec::new();
             table.for_each(|row| {
-                if !first_row {
-                    out.push(',');
+                rows.push(row.clone());
+                if rows.len() == CHECKPOINT_CHUNK_ROWS {
+                    let (table, rows) = (name.clone(), std::mem::take(&mut rows));
+                    push(WalRecord::Insert { table, rows });
                 }
-                first_row = false;
-                out.push_str(&wal::row_json(row).render());
             });
-            out.push_str("]}");
+            if !rows.is_empty() {
+                let table = name.clone();
+                push(WalRecord::Insert { table, rows });
+            }
+            for column in table.index_columns() {
+                let table = name.clone();
+                push(WalRecord::CreateIndex { table, column });
+            }
         }
-        out.push_str("]}");
         out
     }
 }
@@ -1075,13 +1019,14 @@ mod tests {
         assert!(cs.est_bytes > 0.0);
         // Columns pack tighter than rows: no per-row overhead.
         assert!(cs.est_bytes < rs.est_bytes);
-        // The snapshot document carries the storage block.
+        // A database reports the same stats for a columnar table it holds.
         let mut db = Database::new();
         db.create_table(show_def().with_layout(Layout::Columnar))
             .unwrap();
-        let snap = db.snapshot_json();
-        assert!(snap.contains("\"storage\":{\"columns_materialized\":3"));
-        assert!(snap.contains("\"layout\":\"columnar\""));
+        let t = db.table("Show").unwrap();
+        assert_eq!(t.def.layout, Layout::Columnar);
+        assert_eq!(t.storage_stats().layout, Layout::Columnar);
+        assert_eq!(t.storage_stats().columns_materialized, 3);
     }
 
     // -- durability ---------------------------------------------------------
@@ -1145,10 +1090,10 @@ mod tests {
             assert_eq!(db.wal().unwrap().sync_count() - before, 3);
             db.insert_batch("Show", Vec::new()).unwrap(); // no-op
             assert_eq!(db.wal().unwrap().sync_count() - before, 3);
-            snapshot = db.snapshot_json();
+            snapshot = db.snapshot();
         }
         let recovered = Database::open(&dir).unwrap();
-        assert_eq!(recovered.snapshot_json(), snapshot);
+        assert_eq!(recovered.snapshot(), snapshot);
         assert_eq!(recovered.table("Show").unwrap().len(), 30);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1202,10 +1147,10 @@ mod tests {
             )
             .unwrap();
             db.commit().unwrap();
-            snapshot = db.snapshot_json();
+            snapshot = db.snapshot();
         }
         let recovered = Database::open(&dir).unwrap();
-        assert_eq!(recovered.snapshot_json(), snapshot);
+        assert_eq!(recovered.snapshot(), snapshot);
         assert_eq!(recovered.table("Show").unwrap().len(), 4);
         // restored indexes answer lookups
         assert_eq!(
@@ -1237,8 +1182,8 @@ mod tests {
             .unwrap();
             db.commit().unwrap();
         }
-        let first = Database::open(&dir).unwrap().snapshot_json();
-        let second = Database::open(&dir).unwrap().snapshot_json();
+        let first = Database::open(&dir).unwrap().snapshot();
+        let second = Database::open(&dir).unwrap().snapshot();
         assert_eq!(first, second, "replay must be idempotent");
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1254,7 +1199,7 @@ mod tests {
             let _quiet = quiet_faults();
             let mut db = Database::open(&dir).unwrap();
             load_durable(&mut db, 4);
-            snapshot = db.snapshot_json();
+            snapshot = db.snapshot();
             last_lsn = db.wal().unwrap().next_lsn() - 1;
 
             // Decisions are pure in (seed, site, key): probe for a seed
@@ -1288,7 +1233,7 @@ mod tests {
         let _quiet = quiet_faults();
         assert!(dir.file_len(crate::wal::WAL_FILE).unwrap() > 0);
         let recovered = Database::open(&dir).unwrap();
-        assert_eq!(recovered.snapshot_json(), snapshot);
+        assert_eq!(recovered.snapshot(), snapshot);
         assert_eq!(recovered.wal().unwrap().next_lsn(), last_lsn + 1);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1303,7 +1248,7 @@ mod tests {
             let _quiet = quiet_faults();
             let mut db = Database::open(&dir).unwrap();
             load_durable(&mut db, 3);
-            snapshot = db.snapshot_json();
+            snapshot = db.snapshot();
             // rate-1 faults: checkpoint dies at its first site, before
             // anything is written
             let _g = override_for_test(FaultConfig::always(11, FaultMode::Error));
@@ -1312,7 +1257,7 @@ mod tests {
         let _quiet = quiet_faults();
         assert!(!dir.exists(CHECKPOINT_FILE).unwrap());
         let recovered = Database::open(&dir).unwrap();
-        assert_eq!(recovered.snapshot_json(), snapshot);
+        assert_eq!(recovered.snapshot(), snapshot);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1331,7 +1276,109 @@ mod tests {
         let dir = DirHandle::create(&root).unwrap();
         db.checkpoint(&dir).unwrap();
         let restored = Database::open(&dir).unwrap();
-        assert_eq!(restored.snapshot_json(), db.snapshot_json());
+        assert_eq!(restored.snapshot(), db.snapshot());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A durable directory holding a checkpoint of `rows` rows plus an
+    /// index, with an empty WAL: everything lives in the checkpoint.
+    fn checkpointed(tag: &str, rows: i64) -> (PathBuf, DirHandle) {
+        let root = scratch(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = DirHandle::create(&root).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        load_durable(&mut db, rows);
+        db.checkpoint(&dir).unwrap();
+        assert_eq!(dir.file_len(crate::wal::WAL_FILE).unwrap(), 0);
+        (root, dir)
+    }
+
+    #[test]
+    fn checkpoint_is_frames_in_table_rows_index_order() {
+        let _quiet = quiet_faults();
+        let (root, dir) = checkpointed("frames", 2500);
+        let bytes = dir.read(CHECKPOINT_FILE).unwrap();
+        let (records, whole) = wal::scan_frames(&bytes).unwrap();
+        assert_eq!(whole, bytes.len() as u64);
+        let last_lsn = records[0].0;
+        assert!(records.iter().all(|(lsn, _)| *lsn == last_lsn));
+        let shapes: Vec<String> = records
+            .iter()
+            .map(|(_, r)| match r {
+                WalRecord::CreateTable(def) => format!("table {}", def.name),
+                WalRecord::Insert { rows, .. } => format!("rows {}", rows.len()),
+                WalRecord::CreateIndex { column, .. } => format!("index {column}"),
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                "table Show",
+                "rows 1024",
+                "rows 1024",
+                "rows 452",
+                "index year"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn torn_or_flipped_checkpoint_frame_is_corrupt_not_a_partial_restore() {
+        let _quiet = quiet_faults();
+        let (root, dir) = checkpointed("bad-checkpoint", 2500);
+        let good = dir.read(CHECKPOINT_FILE).unwrap();
+        let last_frame = 4 + 8 + {
+            let (records, _) = wal::scan_frames(&good).unwrap();
+            wal::encode_record(records[0].0, &records[4].1).len()
+        };
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x10;
+        for bad in [
+            good[..good.len() - 1].to_vec(),
+            good[..good.len() - last_frame / 2].to_vec(),
+            flipped,
+        ] {
+            dir.write_atomic(CHECKPOINT_FILE, &bad).unwrap();
+            assert!(matches!(
+                Database::open(&dir),
+                Err(RelationalError::Corrupt { .. })
+            ));
+        }
+        dir.write_atomic(CHECKPOINT_FILE, &good).unwrap();
+        assert_eq!(Database::open(&dir).unwrap().total_rows(), 2500);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn json_era_directories_are_corrupt_not_empty() {
+        let _quiet = quiet_faults();
+        // A WAL frame as the JSON codec wrote it, with a valid checksum.
+        let root = scratch("json-wal");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = DirHandle::create(&root).unwrap();
+        let json = br#"{"lsn":"1","op":"insert","row":["i:1","s:ER",null],"table":"Show"}"#;
+        dir.write_atomic(crate::wal::WAL_FILE, &wal::encode_frame(json))
+            .unwrap();
+        assert!(matches!(
+            Database::open(&dir),
+            Err(RelationalError::Corrupt { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        // A JSON checkpoint beside the empty log a checkpoint leaves.
+        let root = scratch("json-checkpoint");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = DirHandle::create(&root).unwrap();
+        dir.write_atomic(crate::wal::WAL_FILE, b"").unwrap();
+        dir.write_atomic(
+            JSON_CHECKPOINT_FILE,
+            br#"{"format":1,"last_lsn":"3","tables":[]}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            Database::open(&dir),
+            Err(RelationalError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

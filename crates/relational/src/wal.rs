@@ -1,4 +1,5 @@
-//! Write-ahead log for the durable storage path.
+//! Write-ahead log, and the one binary format of every durable byte: log
+//! frames, checkpoint files and snapshots.
 //!
 //! ## Frame format
 //!
@@ -13,18 +14,34 @@
 //!
 //! `crc` is a domain-separated FNV-1a over the payload bytes
 //! ([`legodb_util::StableHasher`] with [`WAL_MAGIC`] absorbed first), so
-//! the checksum is stable across platforms and runs. The payload is one
-//! JSON object rendered through `legodb_util::json::Value` (BTreeMap
-//! field order — byte-deterministic) that carries a monotonically
-//! increasing LSN plus one logical operation:
+//! the checksum is stable across platforms and runs.
 //!
-//! ```json
-//! {"lsn":"7","op":"insert","table":"Show","row":["i:1","s:ER",null]}
+//! ## Record format
+//!
+//! A payload is one record: its LSN, an op tag, then the op's fields.
+//!
+//! ```text
+//! record = lsn:uvar op:u8 fields
+//!   op 1  CreateTable  def
+//!   op 2  CreateIndex  table:str column:str
+//!   op 3  Insert       table:str count × row
+//! row    = count × value
+//! value  = 0 (NULL) | 1 ivar (integer) | 2 str (string)
+//! def    = name:str key:opt<str> columnar:u8 rows:f64
+//!          count × (name:str ty:uvar nullable:u8 avg_width:f64
+//!                   distinct:opt<f64> min:opt<ivar> max:opt<ivar> null_fraction:f64)
+//!          count × (fk_column:str parent_table:str)
+//! ty     = 0 (INT) | 1 (STRING) | n + 2 (CHAR(n))
 //! ```
 //!
-//! `i64` row values are sigil-encoded as strings (`"i:<decimal>"`) rather
-//! than JSON numbers because the reader holds numbers as `f64`, which
-//! silently rounds integers past 2^53.
+//! `uvar` is LEB128 and `ivar` zigzag LEB128, so every `i64` round-trips
+//! exactly. `str` (UTF-8) and `count` are `uvar`-length-prefixed. `f64` is
+//! 8 little-endian bytes, so statistics round-trip bit-exactly. `opt` is a
+//! presence byte (0 or 1), then the value. Decoding is strict: an unknown
+//! tag, a varint past 64 bits, invalid UTF-8, leftover bytes, or a length
+//! or count larger than the bytes left (checked before anything is
+//! allocated from it) is [`RelationalError::Corrupt`]. A checkpoint file
+//! and a snapshot are sequences of the same frames.
 //!
 //! ## Torn-tail truncation rule
 //!
@@ -55,9 +72,9 @@ use crate::storage::Row;
 use crate::types::{SqlType, Value};
 use legodb_util::fault::failpoint;
 use legodb_util::fs::{DirHandle, LogFile};
-use legodb_util::json::{self, Value as JValue};
 use legodb_util::{RwLock, StableHasher};
-use std::collections::BTreeMap;
+
+type Result<T, E = RelationalError> = std::result::Result<T, E>;
 
 /// File name of the log inside the database directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -72,6 +89,14 @@ const FRAME_HEADER: usize = 12;
 /// treated as a torn header rather than an allocation request.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
+const OP_CREATE_TABLE: u8 = 1;
+const OP_CREATE_INDEX: u8 = 2;
+const OP_INSERT: u8 = 3;
+
+const VALUE_NULL: u8 = 0;
+const VALUE_INT: u8 = 1;
+const VALUE_STR: u8 = 2;
+
 /// One logged logical operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
@@ -79,13 +104,11 @@ pub enum WalRecord {
     CreateTable(TableDef),
     /// A secondary index was created.
     CreateIndex { table: String, column: String },
-    /// A row was inserted.
-    Insert { table: String, row: Row },
-    /// A batch of rows was inserted into one table atomically. The whole
-    /// batch lives in a single frame, so one checksum covers all rows: a
-    /// crash mid-batch tears the frame and recovery drops the batch
-    /// wholly — replay never surfaces a torn batch.
-    InsertBatch { table: String, rows: Vec<Row> },
+    /// Rows were inserted into one table atomically. All of them live in
+    /// a single frame, so one checksum covers them: a crash mid-write
+    /// tears the frame and recovery drops the rows wholly — replay never
+    /// surfaces part of an insert.
+    Insert { table: String, rows: Vec<Row> },
 }
 
 /// The write-ahead log: an append-only, checksummed record stream.
@@ -111,13 +134,16 @@ struct WalInner {
 impl Wal {
     /// Open (creating if absent) the log in `dir`. Scans existing frames,
     /// truncates the torn tail per the module rule, and returns the
-    /// surviving records as `(lsn, record)` pairs in log order.
-    pub fn open(dir: &DirHandle) -> Result<(Wal, Vec<(u64, WalRecord)>), RelationalError> {
+    /// surviving records above `checkpoint_lsn` — those a checkpoint
+    /// taken at that LSN has not captured — as `(lsn, record)` pairs in
+    /// log order. New appends are numbered past both.
+    pub fn open(dir: &DirHandle, checkpoint_lsn: u64) -> Result<(Wal, Vec<(u64, WalRecord)>)> {
         let bytes = dir
             .read_opt(WAL_FILE)
             .map_err(|e| io_err("wal open", &e))?
             .unwrap_or_default();
-        let (records, keep) = scan_frames(&bytes)?;
+        let (mut records, keep) = scan_frames(&bytes)?;
+        records.retain(|(lsn, _)| *lsn > checkpoint_lsn);
         if keep < bytes.len() as u64 {
             dir.set_len(WAL_FILE, keep)
                 .map_err(|e| io_err("wal torn-tail truncation", &e))?;
@@ -125,7 +151,7 @@ impl Wal {
         let log = dir
             .append_log(WAL_FILE)
             .map_err(|e| io_err("wal open for append", &e))?;
-        let next_lsn = records.last().map_or(1, |(lsn, _)| lsn + 1);
+        let next_lsn = records.last().map_or(checkpoint_lsn, |(lsn, _)| *lsn) + 1;
         let wal = Wal {
             dir: dir.clone(),
             inner: RwLock::new_named(
@@ -144,23 +170,23 @@ impl Wal {
     /// Append one record, returning its LSN. The record is framed,
     /// checksummed, and written to the OS, but **not** fsync'd — call
     /// [`Wal::commit`] at a commit boundary for durability.
-    pub fn append(&self, record: &WalRecord) -> Result<u64, RelationalError> {
+    pub fn append(&self, record: &WalRecord) -> Result<u64> {
         self.append_with(|lsn| encode_record(lsn, record))
     }
 
-    /// Append an insert without cloning the row into a [`WalRecord`]
-    /// (the hot path: `Database::insert` logs by reference).
-    pub fn append_insert(&self, table: &str, row: &Row) -> Result<u64, RelationalError> {
-        self.append_with(|lsn| encode_insert(lsn, table, row))
+    /// Append an insert of `rows` as one frame without cloning them into
+    /// a [`WalRecord`] (the hot path: `Database::insert` and
+    /// `Database::insert_batch` log by reference).
+    pub fn append_insert(&self, table: &str, rows: &[Row]) -> Result<u64> {
+        self.append_with(|lsn| {
+            let mut out = Vec::new();
+            put_uvar(&mut out, lsn);
+            put_insert(&mut out, table, rows);
+            out
+        })
     }
 
-    /// Append a whole batch of inserts as one frame, by reference
-    /// (the hot path: `Database::insert_batch` logs once per batch).
-    pub fn append_insert_batch(&self, table: &str, rows: &[Row]) -> Result<u64, RelationalError> {
-        self.append_with(|lsn| encode_insert_batch(lsn, table, rows))
-    }
-
-    fn append_with(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64, RelationalError> {
+    fn append_with(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<u64> {
         let mut inner = self.inner.write();
         if inner.poisoned {
             return Err(RelationalError::WalPoisoned);
@@ -190,7 +216,7 @@ impl Wal {
     }
 
     /// Durably flush all appended records (a commit boundary).
-    pub fn commit(&self) -> Result<(), RelationalError> {
+    pub fn commit(&self) -> Result<()> {
         let mut inner = self.inner.write();
         if inner.poisoned {
             return Err(RelationalError::WalPoisoned);
@@ -216,7 +242,7 @@ impl Wal {
     /// Reclaim the log after a checkpoint has durably captured its
     /// effects. Crashing *before* this point is safe: replay skips
     /// records at or below the checkpoint LSN.
-    pub fn truncate(&self) -> Result<(), RelationalError> {
+    pub fn truncate(&self) -> Result<()> {
         let inner = self.inner.write();
         failpoint("wal.truncate", &inner.next_lsn.to_string())
             .map_err(|fault| io_fault("wal truncate", &fault))?;
@@ -230,19 +256,13 @@ impl Wal {
         self.inner.read().next_lsn
     }
 
-    /// Reposition the LSN counter (used by `Database::open` so LSNs keep
-    /// increasing across a checkpoint that emptied the log).
-    pub(crate) fn set_next_lsn(&self, next: u64) {
-        self.inner.write().next_lsn = next;
-    }
-
     /// True after a write failure; appends are refused until reopen.
     pub fn is_poisoned(&self) -> bool {
         self.inner.read().poisoned
     }
 
     /// Bytes currently in the log file.
-    pub fn len_bytes(&self) -> Result<u64, RelationalError> {
+    pub fn len_bytes(&self) -> Result<u64> {
         self.dir
             .file_len(WAL_FILE)
             .map_err(|e| io_err("wal stat", &e))
@@ -250,9 +270,9 @@ impl Wal {
 }
 
 /// Scan `bytes` as frames. Returns the decoded records and the byte
-/// offset of the first torn frame (== `bytes.len()` when the log is
-/// clean), i.e. the length the file should be truncated to.
-fn scan_frames(bytes: &[u8]) -> Result<(Vec<(u64, WalRecord)>, u64), RelationalError> {
+/// offset of the first torn frame (== `bytes.len()` when every frame is
+/// whole), i.e. the length a log should be truncated to.
+pub(crate) fn scan_frames(bytes: &[u8]) -> Result<(Vec<(u64, WalRecord)>, u64)> {
     let mut records = Vec::new();
     let mut off = 0usize;
     loop {
@@ -297,300 +317,256 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Render a record (with its LSN) to payload bytes.
+/// Encode a record (with its LSN) to payload bytes.
 pub fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvar(&mut out, lsn);
     match record {
-        WalRecord::Insert { table, row } => encode_insert(lsn, table, row),
-        WalRecord::InsertBatch { table, rows } => encode_insert_batch(lsn, table, rows),
         WalRecord::CreateTable(def) => {
-            let mut fields = lsn_fields(lsn, "create_table");
-            fields.insert("def".to_string(), table_def_json(def));
-            JValue::Object(fields).render().into_bytes()
+            out.push(OP_CREATE_TABLE);
+            put_table_def(&mut out, def);
         }
         WalRecord::CreateIndex { table, column } => {
-            let mut fields = lsn_fields(lsn, "create_index");
-            fields.insert("table".to_string(), JValue::String(table.clone()));
-            fields.insert("column".to_string(), JValue::String(column.clone()));
-            JValue::Object(fields).render().into_bytes()
+            out.push(OP_CREATE_INDEX);
+            put_str(&mut out, table);
+            put_str(&mut out, column);
+        }
+        WalRecord::Insert { table, rows } => put_insert(&mut out, table, rows),
+    }
+    out
+}
+
+fn put_insert(out: &mut Vec<u8>, table: &str, rows: &[Row]) {
+    out.push(OP_INSERT);
+    put_str(out, table);
+    put_uvar(out, rows.len() as u64);
+    for row in rows {
+        put_uvar(out, row.len() as u64);
+        for value in row {
+            match value {
+                Value::Null => out.push(VALUE_NULL),
+                Value::Int(n) => {
+                    out.push(VALUE_INT);
+                    put_ivar(out, *n);
+                }
+                Value::Str(s) => {
+                    out.push(VALUE_STR);
+                    put_str(out, s);
+                }
+            }
         }
     }
 }
 
-/// Render an insert record directly from borrowed parts.
-pub fn encode_insert(lsn: u64, table: &str, row: &Row) -> Vec<u8> {
-    let mut fields = lsn_fields(lsn, "insert");
-    fields.insert("table".to_string(), JValue::String(table.to_string()));
-    fields.insert("row".to_string(), row_json(row));
-    JValue::Object(fields).render().into_bytes()
-}
-
-/// Render a batched-insert record directly from borrowed parts.
-pub fn encode_insert_batch(lsn: u64, table: &str, rows: &[Row]) -> Vec<u8> {
-    let mut fields = lsn_fields(lsn, "insert_batch");
-    fields.insert("table".to_string(), JValue::String(table.to_string()));
-    fields.insert(
-        "rows".to_string(),
-        JValue::Array(rows.iter().map(row_json).collect()),
-    );
-    JValue::Object(fields).render().into_bytes()
-}
-
-fn lsn_fields(lsn: u64, op: &str) -> BTreeMap<String, JValue> {
-    let mut fields = BTreeMap::new();
-    fields.insert("lsn".to_string(), JValue::String(lsn.to_string()));
-    fields.insert("op".to_string(), JValue::String(op.into()));
-    fields
-}
-
-/// Parse payload bytes back into `(lsn, record)`.
-pub fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord), RelationalError> {
-    let text = std::str::from_utf8(payload).map_err(|_| corrupt("wal record is not UTF-8"))?;
-    let value = json::parse(text).map_err(|e| corrupt(&format!("wal record JSON: {e}")))?;
-    let lsn = parse_u64_field(&value, "lsn")?;
-    let op = str_field(&value, "op")?;
-    let record = match op {
-        "create_table" => {
-            let def = value
-                .get("def")
-                .ok_or_else(|| corrupt("create_table record missing def"))?;
-            WalRecord::CreateTable(table_def_from_json(def)?)
-        }
-        "create_index" => WalRecord::CreateIndex {
-            table: str_field(&value, "table")?.to_string(),
-            column: str_field(&value, "column")?.to_string(),
+/// Decode payload bytes back into `(lsn, record)`.
+pub fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord)> {
+    let mut r = Reader(payload);
+    let lsn = r.uvar()?;
+    let record = match r.byte()? {
+        OP_CREATE_TABLE => WalRecord::CreateTable(r.table_def()?),
+        OP_CREATE_INDEX => WalRecord::CreateIndex {
+            table: r.str()?,
+            column: r.str()?,
         },
-        "insert" => {
-            let row = value
-                .get("row")
-                .ok_or_else(|| corrupt("insert record missing row"))?;
-            WalRecord::Insert {
-                table: str_field(&value, "table")?.to_string(),
-                row: row_from_json(row)?,
-            }
-        }
-        "insert_batch" => {
-            let rows = match value.get("rows") {
-                Some(JValue::Array(items)) => items
-                    .iter()
-                    .map(row_from_json)
-                    .collect::<Result<Vec<Row>, _>>()?,
-                _ => return Err(corrupt("insert_batch record missing rows array")),
-            };
-            WalRecord::InsertBatch {
-                table: str_field(&value, "table")?.to_string(),
-                rows,
-            }
-        }
-        other => return Err(corrupt(&format!("unknown wal op {other:?}"))),
+        OP_INSERT => WalRecord::Insert {
+            table: r.str()?,
+            rows: r.list(|r| r.list(Reader::value))?,
+        },
+        op => return Err(unknown_tag("wal op", op)),
     };
+    if !r.0.is_empty() {
+        return Err(corrupt("bytes left over after a wal record"));
+    }
     Ok((lsn, record))
 }
 
-// ---------------------------------------------------------------------------
-// JSON codecs shared by the WAL and the checkpoint document.
-// ---------------------------------------------------------------------------
+fn put_uvar(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push((n as u8) | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
 
-/// Encode one row value. Integers are sigil-encoded strings so i64
-/// precision survives the reader's f64 number representation.
-pub fn row_value_json(v: &Value) -> JValue {
-    match v {
-        Value::Null => JValue::Null,
-        Value::Int(n) => JValue::String(format!("i:{n}")),
-        Value::Str(s) => JValue::String(format!("s:{s}")),
+fn put_ivar(out: &mut Vec<u8>, n: i64) {
+    put_uvar(out, ((n << 1) ^ (n >> 63)) as u64);
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_uvar(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_f64(out: &mut Vec<u8>, x: f64) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+fn put_opt<T>(out: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    out.push(u8::from(value.is_some()));
+    if let Some(v) = value {
+        put(out, v);
     }
 }
 
-/// Decode one row value.
-pub fn row_value_from_json(j: &JValue) -> Result<Value, RelationalError> {
-    match j {
-        JValue::Null => Ok(Value::Null),
-        JValue::String(s) => {
-            if let Some(n) = s.strip_prefix("i:") {
-                n.parse::<i64>()
-                    .map(Value::Int)
-                    .map_err(|_| corrupt(&format!("bad integer literal {n:?}")))
-            } else if let Some(text) = s.strip_prefix("s:") {
-                Ok(Value::Str(text.to_string()))
-            } else {
-                Err(corrupt(&format!("row value missing sigil: {s:?}")))
+fn put_table_def(out: &mut Vec<u8>, def: &TableDef) {
+    put_str(out, &def.name);
+    put_opt(out, def.key.as_deref(), put_str);
+    out.push(u8::from(def.layout == Layout::Columnar));
+    put_f64(out, def.stats.rows);
+    put_uvar(out, def.columns.len() as u64);
+    for c in &def.columns {
+        put_str(out, &c.name);
+        let ty = match c.ty {
+            SqlType::Int => 0,
+            SqlType::Text => 1,
+            SqlType::Char(n) => u64::from(n) + 2,
+        };
+        put_uvar(out, ty);
+        out.push(u8::from(c.nullable));
+        put_f64(out, c.stats.avg_width);
+        put_opt(out, c.stats.distinct, put_f64);
+        put_opt(out, c.stats.min, put_ivar);
+        put_opt(out, c.stats.max, put_ivar);
+        put_f64(out, c.stats.null_fraction);
+    }
+    put_uvar(out, def.foreign_keys.len() as u64);
+    for fk in &def.foreign_keys {
+        put_str(out, &fk.column);
+        put_str(out, &fk.parent_table);
+    }
+}
+
+/// A cursor over one payload; every read is bounds-checked.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(corrupt("wal record ends early"));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn byte(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn uvar(&mut self) -> Result<u64> {
+        let mut n = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            if shift == 63 && b > 1 {
+                break; // the tenth byte holds bit 63 alone
+            }
+            n |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(n);
             }
         }
-        _ => Err(corrupt("row value must be null or a sigiled string")),
+        Err(corrupt("varint wider than 64 bits"))
     }
-}
 
-/// Encode a whole row.
-pub fn row_json(row: &Row) -> JValue {
-    JValue::Array(row.iter().map(row_value_json).collect())
-}
-
-/// Decode a whole row.
-pub fn row_from_json(j: &JValue) -> Result<Row, RelationalError> {
-    match j {
-        JValue::Array(items) => items.iter().map(row_value_from_json).collect(),
-        _ => Err(corrupt("row must be an array")),
+    fn ivar(&mut self) -> Result<i64> {
+        self.uvar().map(|z| (z >> 1) as i64 ^ -((z & 1) as i64))
     }
-}
 
-fn sql_type_from_str(s: &str) -> Result<SqlType, RelationalError> {
-    match s {
-        "INT" => Ok(SqlType::Int),
-        "STRING" => Ok(SqlType::Text),
-        _ => {
-            let n = s
-                .strip_prefix("CHAR(")
-                .and_then(|rest| rest.strip_suffix(')'))
-                .and_then(|n| n.parse::<u32>().ok())
-                .ok_or_else(|| corrupt(&format!("unknown SQL type {s:?}")))?;
-            Ok(SqlType::Char(n))
+    /// A length or element count: never more than the bytes left, since
+    /// every element takes at least one byte.
+    fn count(&mut self) -> Result<usize> {
+        match usize::try_from(self.uvar()?) {
+            Ok(n) if n <= self.0.len() => Ok(n),
+            _ => Err(corrupt("length or count runs past the wal record")),
         }
     }
-}
 
-fn opt_i64_json(v: Option<i64>) -> JValue {
-    match v {
-        Some(n) => JValue::String(n.to_string()),
-        None => JValue::Null,
+    fn str(&mut self) -> Result<String> {
+        let n = self.count()?;
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| corrupt("wal string is not UTF-8"))
     }
-}
 
-fn opt_i64_from_json(j: Option<&JValue>, what: &str) -> Result<Option<i64>, RelationalError> {
-    match j {
-        None | Some(JValue::Null) => Ok(None),
-        Some(JValue::String(s)) => s
-            .parse::<i64>()
-            .map(Some)
-            .map_err(|_| corrupt(&format!("bad {what}: {s:?}"))),
-        Some(_) => Err(corrupt(&format!("{what} must be a decimal string"))),
+    fn f64(&mut self) -> Result<f64> {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(self.take(8)?);
+        Ok(f64::from_le_bytes(bytes))
     }
-}
 
-/// Encode a table definition (columns, key, FKs, statistics).
-pub fn table_def_json(def: &TableDef) -> JValue {
-    let columns = def
-        .columns
-        .iter()
-        .map(|c| {
-            let mut m = BTreeMap::new();
-            m.insert("name".to_string(), JValue::String(c.name.clone()));
-            m.insert("ty".to_string(), JValue::String(c.ty.to_string()));
-            m.insert("nullable".to_string(), JValue::Bool(c.nullable));
-            m.insert("avg_width".to_string(), JValue::Number(c.stats.avg_width));
-            m.insert(
-                "distinct".to_string(),
-                c.stats.distinct.map_or(JValue::Null, JValue::Number),
-            );
-            m.insert("min".to_string(), opt_i64_json(c.stats.min));
-            m.insert("max".to_string(), opt_i64_json(c.stats.max));
-            m.insert(
-                "null_fraction".to_string(),
-                JValue::Number(c.stats.null_fraction),
-            );
-            JValue::Object(m)
-        })
-        .collect();
-    let fks = def
-        .foreign_keys
-        .iter()
-        .map(|fk| {
-            let mut m = BTreeMap::new();
-            m.insert("column".to_string(), JValue::String(fk.column.clone()));
-            m.insert(
-                "parent".to_string(),
-                JValue::String(fk.parent_table.clone()),
-            );
-            JValue::Object(m)
-        })
-        .collect();
-    let mut m = BTreeMap::new();
-    m.insert("name".to_string(), JValue::String(def.name.clone()));
-    m.insert(
-        "key".to_string(),
-        def.key
-            .as_ref()
-            .map_or(JValue::Null, |k| JValue::String(k.clone())),
-    );
-    m.insert("columns".to_string(), JValue::Array(columns));
-    m.insert("fks".to_string(), JValue::Array(fks));
-    m.insert("rows".to_string(), JValue::Number(def.stats.rows));
-    m.insert("layout".to_string(), JValue::String(def.layout.to_string()));
-    JValue::Object(m)
-}
+    fn flag(&mut self) -> Result<bool> {
+        match self.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(unknown_tag("flag", t)),
+        }
+    }
 
-/// Decode a table definition.
-pub fn table_def_from_json(j: &JValue) -> Result<TableDef, RelationalError> {
-    let mut def = TableDef::new(str_field(j, "name")?);
-    def.key = match j.get("key") {
-        None | Some(JValue::Null) => None,
-        Some(JValue::String(s)) => Some(s.clone()),
-        Some(_) => return Err(corrupt("table key must be a string or null")),
-    };
-    let columns = match j.get("columns") {
-        Some(JValue::Array(items)) => items,
-        _ => return Err(corrupt("table def missing columns array")),
-    };
-    for c in columns {
-        let ty = sql_type_from_str(str_field(c, "ty")?)?;
-        let nullable = matches!(c.get("nullable"), Some(JValue::Bool(true)));
-        let stats = ColumnStats {
-            avg_width: num_field(c, "avg_width")?,
-            distinct: match c.get("distinct") {
-                None | Some(JValue::Null) => None,
-                Some(JValue::Number(n)) => Some(*n),
-                Some(_) => return Err(corrupt("distinct must be a number or null")),
-            },
-            min: opt_i64_from_json(c.get("min"), "column min")?,
-            max: opt_i64_from_json(c.get("max"), "column max")?,
-            null_fraction: num_field(c, "null_fraction")?,
+    fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T>) -> Result<Option<T>> {
+        if self.flag()? {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn list<T>(&mut self, mut read: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.count()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
+    fn value(&mut self) -> Result<Value> {
+        match self.byte()? {
+            VALUE_NULL => Ok(Value::Null),
+            VALUE_INT => self.ivar().map(Value::Int),
+            VALUE_STR => self.str().map(Value::Str),
+            t => Err(unknown_tag("row value", t)),
+        }
+    }
+
+    fn table_def(&mut self) -> Result<TableDef> {
+        let mut def = TableDef::new(self.str()?);
+        def.key = self.opt(Reader::str)?;
+        def.layout = if self.flag()? {
+            Layout::Columnar
+        } else {
+            Layout::Row
         };
-        let mut col = ColumnDef::new(str_field(c, "name")?, ty).with_stats(stats);
-        col.nullable = nullable;
-        def.columns.push(col);
+        def.stats.rows = self.f64()?;
+        def.columns = self.list(|r| {
+            let name = r.str()?;
+            let ty = match r.uvar()? {
+                0 => SqlType::Int,
+                1 => SqlType::Text,
+                n => SqlType::Char(u32::try_from(n - 2).map_err(|_| corrupt("CHAR(n) past u32"))?),
+            };
+            Ok(ColumnDef {
+                name,
+                ty,
+                nullable: r.flag()?,
+                stats: ColumnStats {
+                    avg_width: r.f64()?,
+                    distinct: r.opt(Reader::f64)?,
+                    min: r.opt(Reader::ivar)?,
+                    max: r.opt(Reader::ivar)?,
+                    null_fraction: r.f64()?,
+                },
+            })
+        })?;
+        def.foreign_keys = self.list(|r| {
+            Ok(ForeignKey {
+                column: r.str()?,
+                parent_table: r.str()?,
+            })
+        })?;
+        Ok(def)
     }
-    let no_fks = Vec::new();
-    let fks = match j.get("fks") {
-        None => &no_fks,
-        Some(JValue::Array(items)) => items,
-        Some(_) => return Err(corrupt("fks must be an array")),
-    };
-    for fk in fks {
-        def.foreign_keys.push(ForeignKey {
-            column: str_field(fk, "column")?.to_string(),
-            parent_table: str_field(fk, "parent")?.to_string(),
-        });
-    }
-    def.stats.rows = num_field(j, "rows")?;
-    // Logs written before layouts existed carry no field: default Row,
-    // which is exactly what those tables were.
-    def.layout = match j.get("layout") {
-        None => Layout::Row,
-        Some(JValue::String(s)) => {
-            Layout::parse(s).ok_or_else(|| corrupt(&format!("unknown table layout {s:?}")))?
-        }
-        Some(_) => return Err(corrupt("table layout must be a string")),
-    };
-    Ok(def)
 }
 
-/// A required string field of a JSON object.
-pub fn str_field<'a>(j: &'a JValue, name: &str) -> Result<&'a str, RelationalError> {
-    j.get(name)
-        .and_then(JValue::as_str)
-        .ok_or_else(|| corrupt(&format!("missing string field {name:?}")))
-}
-
-/// A required numeric field of a JSON object.
-pub fn num_field(j: &JValue, name: &str) -> Result<f64, RelationalError> {
-    j.get(name)
-        .and_then(JValue::as_f64)
-        .ok_or_else(|| corrupt(&format!("missing numeric field {name:?}")))
-}
-
-/// A required decimal-string u64 field (LSNs never round through f64).
-pub fn parse_u64_field(j: &JValue, name: &str) -> Result<u64, RelationalError> {
-    let s = str_field(j, name)?;
-    s.parse::<u64>()
-        .map_err(|_| corrupt(&format!("bad u64 field {name:?}: {s:?}")))
+fn unknown_tag(what: &str, tag: u8) -> RelationalError {
+    corrupt(&format!("unknown {what} tag {tag}"))
 }
 
 /// Construct a [`RelationalError::Corrupt`].
@@ -620,6 +596,7 @@ mod tests {
     use super::*;
     use crate::catalog::ColumnDef;
     use legodb_util::fault::{override_for_test, FaultConfig, FaultMode};
+    use legodb_util::Rng;
     use std::path::PathBuf;
 
     /// Disable env-activated fault injection (the CI fault stage runs the
@@ -654,22 +631,26 @@ mod tests {
             },
             WalRecord::Insert {
                 table: "Show".into(),
-                row: vec![Value::Int(1), Value::str("The \"X\" Files"), Value::Null],
+                rows: vec![vec![
+                    Value::Int(1),
+                    Value::str("The \"X\" Files"),
+                    Value::Null,
+                ]],
             },
             WalRecord::Insert {
                 table: "Show".into(),
-                row: vec![
+                rows: vec![vec![
                     Value::Int(i64::MAX),
-                    Value::str("i:looks-like-int"),
-                    Value::Int(-5),
-                ],
+                    Value::str("ünïcode, and a long one: ".repeat(9)),
+                    Value::Int(i64::MIN),
+                ]],
             },
         ]
     }
 
     #[test]
     fn insert_batch_codec_roundtrips_in_one_frame() {
-        let record = WalRecord::InsertBatch {
+        let record = WalRecord::Insert {
             table: "Show".into(),
             rows: vec![
                 vec![Value::Int(1), Value::str("A"), Value::Null],
@@ -680,7 +661,7 @@ mod tests {
         let (lsn, got) = decode_record(&payload).unwrap();
         assert_eq!(lsn, 9);
         assert_eq!(got, record);
-        // One frame: the encoded payload is a single JSON object, so one
+        // One frame: the encoded payload is a single record, so one
         // checksum covers the whole batch.
         let frame = encode_frame(&payload);
         let (records, keep) = scan_frames(&frame).unwrap();
@@ -690,7 +671,7 @@ mod tests {
 
     #[test]
     fn torn_batch_frame_is_dropped_wholly() {
-        let record = WalRecord::InsertBatch {
+        let record = WalRecord::Insert {
             table: "Show".into(),
             rows: (0..50)
                 .map(|i| vec![Value::Int(i), Value::str(format!("t{i}")), Value::Null])
@@ -732,32 +713,126 @@ mod tests {
             max: Some(i64::MAX),
             null_fraction: 1.0 / 3.0,
         };
-        let encoded = table_def_json(&def).render();
-        let decoded = table_def_from_json(&json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded, def, "catalog must round-trip bit-identically");
+        let record = WalRecord::CreateTable(def);
+        let encoded = encode_record(3, &record);
+        let (_, decoded) = decode_record(&encoded).unwrap();
+        assert_eq!(decoded, record, "catalog must round-trip bit-identically");
         // Byte-determinism: re-encoding the decoded def is identical.
-        assert_eq!(table_def_json(&decoded).render(), encoded);
+        assert_eq!(encode_record(3, &decoded), encoded);
     }
 
     #[test]
-    fn table_def_codec_round_trips_layout_and_defaults_to_row() {
-        let mut def = show_def();
-        def.layout = Layout::Columnar;
-        let encoded = table_def_json(&def).render();
-        let decoded = table_def_from_json(&json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded, def, "columnar layout must survive the codec");
-        assert_eq!(table_def_json(&decoded).render(), encoded);
-        // A pre-layout log record (no field) decodes to the row heap.
-        let legacy = encoded.replace("\"layout\":\"columnar\",", "");
-        assert_ne!(legacy, encoded, "test must actually strip the field");
-        let decoded = table_def_from_json(&json::parse(&legacy).unwrap()).unwrap();
-        assert_eq!(decoded.layout, Layout::Row);
-        // An unknown layout name is corruption, not a silent default.
-        let bad = encoded.replace("\"layout\":\"columnar\"", "\"layout\":\"paged\"");
+    fn table_def_codec_round_trips_layout_and_rejects_unknown_tags() {
+        let record = WalRecord::CreateTable(show_def().with_layout(Layout::Columnar));
+        let encoded = encode_record(1, &record);
+        let (_, decoded) = decode_record(&encoded).unwrap();
+        assert_eq!(decoded, record, "columnar layout must survive the codec");
+        // lsn 1, op, name "Show" (len + 4 bytes), key present + "Show_id"
+        // (1 + 1 + 7 bytes): the layout byte follows.
+        let layout_at = 1 + 1 + 5 + 9;
+        assert_eq!(encoded[layout_at], 1, "layout byte of a columnar table");
+        // An unknown layout tag is corruption, not a silent default.
+        let mut bad = encoded.clone();
+        bad[layout_at] = 7;
         assert!(matches!(
-            table_def_from_json(&json::parse(&bad).unwrap()),
+            decode_record(&bad),
             Err(RelationalError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_lengths_and_counts_are_corrupt_before_allocating() {
+        // lsn 1, insert, table "T", then a row count near u64::MAX: a
+        // decoder that reserved space from it would abort the process.
+        let mut payload = vec![1, OP_INSERT];
+        put_str(&mut payload, "T");
+        put_uvar(&mut payload, u64::MAX - 1);
+        assert!(matches!(
+            decode_record(&payload),
+            Err(RelationalError::Corrupt { .. })
+        ));
+        // A string length one past the bytes left.
+        let mut payload = vec![1, OP_CREATE_INDEX];
+        put_uvar(&mut payload, 4);
+        payload.extend_from_slice(b"abc");
+        assert!(matches!(
+            decode_record(&payload),
+            Err(RelationalError::Corrupt { .. })
+        ));
+        // A varint wider than 64 bits, and trailing bytes after a record.
+        assert!(decode_record(&[0xff; 11]).is_err());
+        let mut trailing = encode_record(1, &sample_records()[1]);
+        trailing.push(0);
+        assert!(matches!(
+            decode_record(&trailing),
+            Err(RelationalError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn varints_round_trip_at_the_edges() {
+        for n in [0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN] {
+            let mut out = Vec::new();
+            put_ivar(&mut out, n);
+            let mut r = Reader(&out);
+            assert_eq!(r.ivar().unwrap(), n);
+            assert!(r.0.is_empty());
+        }
+        let mut out = Vec::new();
+        put_uvar(&mut out, u64::MAX);
+        assert_eq!(out.len(), 10);
+        assert_eq!(Reader(&out).uvar().unwrap(), u64::MAX);
+        // The tenth byte may carry only the top bit.
+        out[9] = 0x02;
+        assert!(Reader(&out).uvar().is_err());
+    }
+
+    legodb_util::prop_check! {
+        cases = 512,
+        // Whatever a checksum-valid frame holds — random bytes, a valid
+        // record cut short, or a valid record with one bit flipped — the
+        // scanner decodes it or reports `Corrupt`. It never panics, never
+        // reports a torn tail (the checksum is valid) and never allocates
+        // from a length it has not checked against the bytes left.
+        fn decoder_accepts_or_reports_corrupt(
+            shape in 0u8..3,
+            which in 0usize..5,
+            at in 0usize..4096,
+            bit in 0u8..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut records = sample_records();
+            records.push(WalRecord::Insert {
+                table: "Show".into(),
+                rows: (0..20)
+                    .map(|i| vec![Value::Int(i * 1_000_003), Value::str(format!("r{i}")), Value::Null])
+                    .collect(),
+            });
+            let valid = encode_record(seed % 1_000, &records[which]);
+            let payload = match shape {
+                0 => {
+                    let mut rng = legodb_util::StdRng::seed_from_u64(seed);
+                    (0..at % 64).map(|_| rng.next_u64() as u8).collect()
+                }
+                1 => valid[..at % valid.len()].to_vec(),
+                _ => {
+                    let mut flipped = valid.clone();
+                    flipped[at % valid.len()] ^= 1 << bit;
+                    flipped
+                }
+            };
+            let frame = encode_frame(&payload);
+            match scan_frames(&frame) {
+                Ok((decoded, keep)) => {
+                    legodb_util::prop_assert_eq!(decoded.len(), 1);
+                    legodb_util::prop_assert_eq!(keep, frame.len() as u64);
+                }
+                Err(e) => legodb_util::prop_assert!(
+                    matches!(e, RelationalError::Corrupt { .. }),
+                    "{e}"
+                ),
+            }
+        }
     }
 
     #[test]
@@ -768,14 +843,14 @@ mod tests {
         let dir = DirHandle::create(&root).unwrap();
         let expected = sample_records();
         {
-            let (wal, existing) = Wal::open(&dir).unwrap();
+            let (wal, existing) = Wal::open(&dir, 0).unwrap();
             assert!(existing.is_empty());
             for r in &expected {
                 wal.append(r).unwrap();
             }
             wal.commit().unwrap();
         }
-        let (_, replayed) = Wal::open(&dir).unwrap();
+        let (_, replayed) = Wal::open(&dir, 0).unwrap();
         let lsns: Vec<u64> = replayed.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![1, 2, 3, 4]);
         let records: Vec<WalRecord> = replayed.into_iter().map(|(_, r)| r).collect();
@@ -791,7 +866,7 @@ mod tests {
         let dir = DirHandle::create(&root).unwrap();
         let expected = sample_records();
         {
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, 0).unwrap();
             for r in &expected {
                 wal.append(r).unwrap();
             }
@@ -803,7 +878,7 @@ mod tests {
         let last_frame = encode_frame(&encode_record(4, &expected[3]));
         let torn_len = clean_len - last_frame.len() / 2;
         dir.set_len(WAL_FILE, torn_len as u64).unwrap();
-        let (wal, replayed) = Wal::open(&dir).unwrap();
+        let (wal, replayed) = Wal::open(&dir, 0).unwrap();
         assert_eq!(replayed.len(), 3, "torn frame must be dropped");
         // The file was physically truncated back to the clean prefix...
         assert_eq!(
@@ -822,7 +897,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let dir = DirHandle::create(&root).unwrap();
         {
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, 0).unwrap();
             for r in &sample_records() {
                 wal.append(r).unwrap();
             }
@@ -834,7 +909,7 @@ mod tests {
             FRAME_HEADER + u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
         bytes[first_len + FRAME_HEADER + 2] ^= 0x40;
         dir.write_atomic(WAL_FILE, &bytes).unwrap();
-        let (_, replayed) = Wal::open(&dir).unwrap();
+        let (_, replayed) = Wal::open(&dir, 0).unwrap();
         assert_eq!(
             replayed.len(),
             1,
@@ -853,7 +928,7 @@ mod tests {
         let survivors;
         {
             let _quiet = quiet_faults();
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, 0).unwrap();
             wal.append(&records[0]).unwrap();
             wal.append(&records[1]).unwrap();
             wal.commit().unwrap();
@@ -861,7 +936,7 @@ mod tests {
         }
         {
             let _always = override_for_test(FaultConfig::always(7, FaultMode::Error));
-            let (wal, _) = Wal::open(&dir).unwrap();
+            let (wal, _) = Wal::open(&dir, 0).unwrap();
             let err = wal.append(&records[2]).unwrap_err();
             assert!(matches!(err, RelationalError::Io { .. }));
             assert!(wal.is_poisoned());
@@ -871,7 +946,7 @@ mod tests {
         }
         // Reopen recovers exactly the pre-crash prefix.
         let _quiet = quiet_faults();
-        let (_, replayed) = Wal::open(&dir).unwrap();
+        let (_, replayed) = Wal::open(&dir, 0).unwrap();
         assert_eq!(replayed.len(), survivors);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -883,9 +958,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let dir = DirHandle::create(&root).unwrap();
         // A correctly framed record whose payload is not a wal record.
-        let frame = encode_frame(b"{\"lsn\":\"1\",\"op\":\"vacuum\"}");
+        let frame = encode_frame(&[1, 9, 9]);
         dir.write_atomic(WAL_FILE, &frame).unwrap();
-        let err = Wal::open(&dir).unwrap_err();
+        let err = Wal::open(&dir, 0).unwrap_err();
         assert!(matches!(err, RelationalError::Corrupt { .. }));
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -408,8 +408,8 @@ prop_check! {
         );
         let again = Database::open(&dir).expect("second open");
         prop_assert_eq!(
-            recovered.snapshot_json(),
-            again.snapshot_json(),
+            recovered.snapshot(),
+            again.snapshot(),
             "seed {seed}: double open diverged"
         );
         drop(recovered);
@@ -490,11 +490,12 @@ prop_check! {
             table.has_index("name"),
             "seed {seed}: secondary index lost on the columnar table"
         );
-        let snapshot = recovered.snapshot_json();
-        prop_assert!(
-            snapshot.contains("\"layout\":\"columnar\""),
-            "seed {seed}: snapshot does not report the columnar layout"
+        prop_assert_eq!(
+            table.storage_stats().layout,
+            Layout::Columnar,
+            "seed {seed}: recovered rows are not held in a column store"
         );
+        let snapshot = recovered.snapshot();
         // Checkpoint round trip: compact the recovered state and reopen —
         // byte-identical snapshot, layout intact.
         recovered
@@ -503,7 +504,7 @@ prop_check! {
         let again = Database::open(&dir).expect("open after checkpoint");
         prop_assert_eq!(
             snapshot,
-            again.snapshot_json(),
+            again.snapshot(),
             "seed {seed}: checkpoint round trip diverged"
         );
         prop_assert_eq!(
@@ -529,8 +530,8 @@ fn crash_recovery_open_of_an_empty_directory_is_a_valid_empty_database() {
     assert!(db.is_durable());
     assert_eq!(db.total_rows(), 0);
     // Opening twice more stays empty and identical — no ghost state.
-    let a = Database::open(&dir).unwrap().snapshot_json();
-    let b = Database::open(&dir).unwrap().snapshot_json();
+    let a = Database::open(&dir).unwrap().snapshot();
+    let b = Database::open(&dir).unwrap().snapshot();
     assert_eq!(a, b);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -720,8 +721,8 @@ prop_check! {
         }
         let again = Database::open(&dir).expect("second open");
         prop_assert_eq!(
-            recovered.snapshot_json(),
-            again.snapshot_json(),
+            recovered.snapshot(),
+            again.snapshot(),
             "seed {seed}: double open diverged"
         );
         drop(recovered);
