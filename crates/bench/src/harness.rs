@@ -1014,14 +1014,18 @@ pub fn recovery(scales: &[u64]) -> Report {
 /// The streaming-ingest experiment (DESIGN.md §15): shred a generated
 /// IMDB corpus twice — the DOM path (`parse` then `shred_dom`: build the
 /// whole tree, validate it upfront, walk it) and the streaming path
-/// (`shred_events`: tokenize, buffer one root-child subtree at a time) —
-/// and compare wall clock, throughput, and peak resident elements. The
-/// hard invariant is bit-identical output (`rows_match`, gated in CI
-/// together with `streaming_speedup > 1`). A third arm loads the shredded
-/// rows into a durable database through `Database::insert_batch`, one
-/// batch per table, counting WAL fsyncs to demonstrate group commit
-/// (`fsyncs_per_batch <= 1`). Each shred's wall clock is the minimum of
-/// two repetitions.
+/// (`shred_events`: tokenize, build one root-child subtree at a time) —
+/// and compare wall clock, throughput, and peak resident elements. Both
+/// validate each element once; the streaming path wins by never holding
+/// the whole tree. The hard invariant is bit-identical output
+/// (`rows_match`, gated in CI together with `streaming_speedup > 1`). The
+/// same run drains the tokenizer alone (`tokenize_mb_s`), so
+/// `stream_vs_tokenize` is a ratio of two speeds taken on the same
+/// machine moments apart, robust to the VM's run-to-run drift. A last arm
+/// loads the shredded rows into a durable database through
+/// `Database::insert_batch`, one batch per table, counting WAL fsyncs to
+/// demonstrate group commit (`fsyncs_per_batch <= 1`). Each timed arm's
+/// wall clock is the minimum of two repetitions.
 pub fn ingest(scales: &[u64]) -> Report {
     use legodb_pschema::{shred_dom, shred_events_report};
     use legodb_xml::{events, parse};
@@ -1075,11 +1079,24 @@ pub fn ingest(scales: &[u64]) -> Report {
         // lint: allow(no-unwrap-in-lib) — reps >= 1, so the loop body ran
         let (stream_db, report) = stream_result.expect("at least one repetition ran");
 
+        // Tokenizer arm: drain the events and nothing else.
+        let mut tokenize_secs = f64::INFINITY;
+        for _ in 0..reps {
+            let (count, elapsed) = legodb_util::bench::time_once(|| {
+                let drained = events(&xml).try_fold(0usize, |n, event| event.map(|_| n + 1));
+                must(drained, "tokenize corpus")
+            });
+            std::hint::black_box(count);
+            tokenize_secs = tokenize_secs.min(elapsed.as_secs_f64());
+        }
+
         let rows = dom_db.total_rows() as u64;
         let rows_match = dom_db.snapshot() == stream_db.snapshot();
         let speedup = dom_secs / stream_secs.max(1e-9);
         let stream_mb_s = mb / stream_secs.max(1e-9);
         let dom_mb_s = mb / dom_secs.max(1e-9);
+        let tokenize_mb_s = mb / tokenize_secs.max(1e-9);
+        let stream_vs_tokenize = stream_mb_s / tokenize_mb_s;
         let stream_rows_s = rows as f64 / stream_secs.max(1e-9);
         // Bounded-memory demonstration: under a working-set budget of a
         // tenth of the document, the DOM path cannot load this corpus but
@@ -1114,6 +1131,7 @@ pub fn ingest(scales: &[u64]) -> Report {
             rows.to_string(),
             format!("{dom_mb_s:.1}"),
             format!("{stream_mb_s:.1}"),
+            format!("{tokenize_mb_s:.1}"),
             format!("{speedup:.2}x"),
             dom_nodes.to_string(),
             report.peak_resident_elements.to_string(),
@@ -1132,6 +1150,8 @@ pub fn ingest(scales: &[u64]) -> Report {
                 .u64("rows", rows)
                 .f64("dom_mb_s", dom_mb_s)
                 .f64("stream_mb_s", stream_mb_s)
+                .f64("tokenize_mb_s", tokenize_mb_s)
+                .f64("stream_vs_tokenize", stream_vs_tokenize)
                 .f64("stream_rows_s", stream_rows_s)
                 .f64("streaming_speedup", speedup)
                 .u64("dom_nodes", dom_nodes as u64)
@@ -1159,6 +1179,7 @@ pub fn ingest(scales: &[u64]) -> Report {
             "rows",
             "DOM MB/s",
             "stream MB/s",
+            "tokenize MB/s",
             "speedup",
             "DOM nodes",
             "stream peak",

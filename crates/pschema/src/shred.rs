@@ -13,33 +13,38 @@
 //! - [`shred_dom`] walks a fully materialized [`Document`] — the reference
 //!   implementation, and the oracle the streaming path is tested against;
 //! - [`shred_events`] consumes a pull-parser event stream. Only the *root
-//!   spine* is streamed: each direct child subtree of the root is buffered
-//!   one at a time, claimed and shredded via the same recursion as the DOM
-//!   walk, then dropped — so peak memory is one root-child subtree (one
-//!   `<show>` for the IMDB workload), not the whole document. The root's
-//!   own content model is checked incrementally: when every child position
-//!   carries a distinct literal tag name under plain sequence/repetition
-//!   structure, a [`SiteTracker`] routes children by name in O(1) and each
-//!   subtree is validated exactly once at its claim (the perf-critical
-//!   path); otherwise a generic derivative [`ContentMatcher`] folds the
-//!   stream. The root row (whose id is allocated when the root opens but
-//!   whose columns may resolve later) is re-sequenced into the DOM
-//!   insertion order by a per-table id-order sink.
+//!   spine* is streamed: each direct child subtree of the root is built one
+//!   at a time by [`TreeBuilder`], claimed and shredded via the same
+//!   recursion as the DOM walk, then dropped — so peak memory is one
+//!   root-child subtree (one `<show>` for the IMDB workload), not the whole
+//!   document. A derivative [`ContentMatcher`] checks the root's content
+//!   model as each child completes. The root row (whose id is allocated
+//!   when the root opens) is filled at close from a skeleton of the root —
+//!   its attributes, its own text, and the children its columns read — and
+//!   re-sequenced into the DOM insertion order by a per-table id-order sink.
+//!
+//! Each element is validated once. Both paths check everything below the
+//! root before claiming it (the DOM walk up front, the stream as each root
+//! child completes), so a claim needs no second check when exactly one
+//! element position of the model its parent matched accepts the child's
+//! name: the parent's check can only have matched the child there. Claims
+//! still validate where two positions accept one name, such as union
+//! alternatives distributed into types that share a tag.
 //!
 //! [`shred`] is a thin wrapper feeding the streaming core with borrowed
 //! children. Root content models the streaming walk cannot reproduce
 //! exactly (a named alternative that is sequence-shaped rather than
 //! element-shaped, or a root that is not literally an element definition)
-//! fall back to full buffering + [`shred_dom`], keeping bit-identity
-//! unconditional.
+//! fall back to buffering the document for [`shred_dom`], keeping
+//! bit-identity unconditional.
 
-use crate::mapping::{ColumnTarget, Mapping, TableMapping, ANY_STEP, TILDE_STEP};
+use crate::mapping::{Mapping, TableMapping, ANY_STEP, TILDE_STEP};
 use legodb_relational::{Database, RelationalError, Value};
 use legodb_schema::validate::{content_matches, element_matches, ContentMatcher};
 use legodb_schema::{NameTest, ScalarKind, Schema, Type, TypeName};
 use legodb_xml::{
-    events_with_limits, Attribute, Document, Element, Event, EventAttribute, Node, ParseError,
-    ParseLimits,
+    events_with_limits, Attribute, Document, Element, Event, Node, ParseError, ParseLimits,
+    TreeBuilder,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -96,9 +101,9 @@ impl From<ParseError> for ShredError {
 pub struct ShredReport {
     /// Total rows inserted across all tables.
     pub rows: u64,
-    /// Peak number of XML elements resident at once: the root anchor plus
-    /// the largest root-child subtree (streamed), or the whole document's
-    /// element count (buffered fallback).
+    /// Peak number of XML elements resident at once: the root skeleton
+    /// plus the largest root-child subtree (streamed), or the whole
+    /// document's element count (buffered fallback).
     pub peak_resident_elements: usize,
     /// False when the root content model forced full-document buffering.
     pub streamed: bool,
@@ -112,18 +117,16 @@ pub struct ShredReport {
 /// loading (they are what the publishing path and the index-join
 /// operators probe).
 pub fn shred(mapping: &Mapping, doc: &Document) -> Result<Database, ShredError> {
-    match open_root(mapping, &doc.root.name, &doc.root.attributes)? {
-        Opened::Streaming(mut rs) => {
-            for node in &doc.root.children {
-                match node {
-                    Node::Text(t) => rs.text(t)?,
-                    Node::Element(e) => rs.child(e)?,
-                }
-            }
-            rs.finish().map(|(db, _)| db)
+    let Some(mut rs) = open_root(mapping, &doc.root.name, &doc.root.attributes)? else {
+        return shred_dom(mapping, doc);
+    };
+    for node in &doc.root.children {
+        match node {
+            Node::Text(t) => rs.text(t)?,
+            Node::Element(e) => rs.child(e)?,
         }
-        Opened::Buffering => shred_dom(mapping, doc),
     }
+    rs.finish().map(|(db, _)| db)
 }
 
 /// Shred a fully materialized document with the classic DOM walk: validate
@@ -132,18 +135,22 @@ pub fn shred(mapping: &Mapping, doc: &Document) -> Result<Database, ShredError> 
 /// baseline the ingest benchmark measures against.
 pub fn shred_dom(mapping: &Mapping, doc: &Document) -> Result<Database, ShredError> {
     let schema = mapping.pschema.schema();
-    let root = mapping.root().clone();
+    let root = mapping.root();
     let root_def = schema
-        .get(&root)
-        .ok_or_else(|| inconsistent("root type", &root))?;
+        .get(root)
+        .ok_or_else(|| inconsistent("root type", root))?;
     if !element_matches(schema, &doc.root, root_def) {
         return Err(ShredError::Invalid(format!(
             "root element <{}> does not match type {root}",
             doc.root.name
         )));
     }
+    let checked = match root_def {
+        Type::Element { content, .. } => Some(content.as_ref()),
+        _ => None,
+    };
     let mut s = Shredder::new(mapping);
-    s.shred_instance(&root, &doc.root, None)?;
+    s.shred_instance(root, &doc.root, None, checked)?;
     s.finish().map(|(db, _)| db)
 }
 
@@ -176,9 +183,11 @@ where
     I: IntoIterator<Item = Result<Event<'a>, ParseError>>,
 {
     let mut events = events.into_iter();
-    let (root_name, root_attrs) = match events.next() {
+    let root = match events.next() {
         Some(Ok(Event::StartElement { name, attributes })) => {
-            (name.into_owned(), own_attrs(attributes))
+            let mut root = Element::new(name);
+            root.attributes = attributes.into_iter().map(Attribute::from).collect();
+            root
         }
         Some(Ok(_)) => {
             return Err(ShredError::Invalid(
@@ -188,37 +197,33 @@ where
         Some(Err(e)) => return Err(ShredError::Parse(e)),
         None => return Err(ShredError::Invalid("empty event stream".into())),
     };
-    match open_root(mapping, &root_name, &root_attrs)? {
-        Opened::Streaming(rs) => stream_events(*rs, events),
-        Opened::Buffering => {
-            let doc = rebuild_document(root_name, root_attrs, events)?;
-            let peak = doc.element_count();
+    match open_root(mapping, &root.name, &root.attributes)? {
+        Some(rs) => stream_events(rs, events),
+        None => {
+            let doc = buffer_events(root, events)?;
             let db = shred_dom(mapping, &doc)?;
-            let rows = db.total_rows() as u64;
-            Ok((
-                db,
-                ShredReport {
-                    rows,
-                    peak_resident_elements: peak,
-                    streamed: false,
-                },
-            ))
+            let report = ShredReport {
+                rows: db.total_rows() as u64,
+                peak_resident_elements: doc.element_count(),
+                streamed: false,
+            };
+            Ok((db, report))
         }
     }
 }
 
-fn own_attrs(attributes: Vec<EventAttribute<'_>>) -> Vec<Attribute> {
-    attributes
-        .into_iter()
-        .map(|a| Attribute {
-            name: a.name.into_owned(),
-            value: a.value.into_owned(),
-        })
-        .collect()
+fn event_after_root() -> ShredError {
+    // The tokenizer never emits events after the root closes; a hand-built
+    // stream that does is malformed.
+    ShredError::Invalid("event after the root element closed".into())
+}
+
+fn root_left_open() -> ShredError {
+    ShredError::Invalid("event stream ended before the root element closed".into())
 }
 
 /// Drive a [`RootStream`] over the events following the root start tag:
-/// buffer each root-child subtree, hand it to the core when it closes,
+/// build each root-child subtree, hand it to the core when it closes,
 /// then drop it.
 fn stream_events<'a, I>(
     mut rs: RootStream<'_>,
@@ -227,280 +232,68 @@ fn stream_events<'a, I>(
 where
     I: Iterator<Item = Result<Event<'a>, ParseError>>,
 {
-    let mut stack: Vec<Element> = Vec::new();
-    let mut live = 0usize; // elements in the subtree being buffered
-    let mut peak = 1usize; // the root anchor itself
+    let mut tree = TreeBuilder::default();
+    let mut live = 0usize; // elements in the subtree being built
+    let mut peak = 1usize; // the root itself
     let mut closed = false;
     for event in events {
         let event = event?;
         if closed {
-            // The tokenizer never emits events after the root closes; a
-            // hand-built stream that does is malformed.
-            return Err(ShredError::Invalid(
-                "event after the root element closed".into(),
-            ));
+            return Err(event_after_root());
         }
         match event {
-            Event::StartElement { name, attributes } => {
-                let mut element = Element::new(name.into_owned());
-                element.attributes = own_attrs(attributes);
-                stack.push(element);
-                live += 1;
-                peak = peak.max(live + 1);
+            Event::Text(t) if tree.depth() == 0 => rs.text(&t)?,
+            Event::EndElement { .. } if tree.depth() == 0 => closed = true,
+            event => {
+                if let Event::StartElement { .. } = event {
+                    live += 1;
+                    peak = peak.max(1 + rs.kept + live);
+                }
+                if let Some(child) = tree.push(event) {
+                    rs.child(&child)?;
+                    live = 0;
+                }
             }
-            Event::Text(t) => match stack.last_mut() {
-                Some(open) => open.children.push(Node::Text(t.into_owned())),
-                None => rs.text(&t)?,
-            },
-            Event::EndElement { .. } => match stack.pop() {
-                Some(element) => match stack.last_mut() {
-                    Some(parent) => parent.children.push(Node::Element(element)),
-                    None => {
-                        rs.child(&element)?;
-                        live = 0;
-                    }
-                },
-                None => closed = true,
-            },
         }
     }
     if !closed {
-        return Err(ShredError::Invalid(
-            "event stream ended before the root element closed".into(),
-        ));
+        return Err(root_left_open());
     }
     let (db, rows) = rs.finish()?;
-    Ok((
-        db,
-        ShredReport {
-            rows,
-            peak_resident_elements: peak,
-            streamed: true,
-        },
-    ))
+    let report = ShredReport {
+        rows,
+        peak_resident_elements: peak,
+        streamed: true,
+    };
+    Ok((db, report))
 }
 
-/// Rebuild a whole [`Document`] from the events after the root start tag —
+/// Build the whole [`Document`] from the events after the root start tag —
 /// the buffered fallback when the root content model is not streamable.
-fn rebuild_document<'a, I>(
-    root_name: String,
-    root_attrs: Vec<Attribute>,
-    events: I,
-) -> Result<Document, ShredError>
+fn buffer_events<'a, I>(root: Element, events: I) -> Result<Document, ShredError>
 where
     I: Iterator<Item = Result<Event<'a>, ParseError>>,
 {
-    let mut root = Element::new(root_name);
-    root.attributes = root_attrs;
-    let mut stack = vec![root];
-    let mut done: Option<Element> = None;
+    let mut tree = TreeBuilder::within(root);
+    let mut done = None;
     for event in events {
         let event = event?;
         if done.is_some() {
-            return Err(ShredError::Invalid(
-                "event after the root element closed".into(),
-            ));
+            return Err(event_after_root());
         }
-        match event {
-            Event::StartElement { name, attributes } => {
-                let mut element = Element::new(name.into_owned());
-                element.attributes = own_attrs(attributes);
-                stack.push(element);
-            }
-            Event::Text(t) => {
-                if let Some(open) = stack.last_mut() {
-                    open.children.push(Node::Text(t.into_owned()));
-                }
-            }
-            Event::EndElement { .. } => match stack.pop() {
-                Some(element) => match stack.last_mut() {
-                    Some(parent) => parent.children.push(Node::Element(element)),
-                    None => done = Some(element),
-                },
-                None => {
-                    return Err(ShredError::Invalid(
-                        "unbalanced end event in the stream".into(),
-                    ))
-                }
-            },
-        }
+        done = tree.push(event);
     }
-    done.map(Document::new).ok_or_else(|| {
-        ShredError::Invalid("event stream ended before the root element closed".into())
-    })
-}
-
-/// Result of [`open_root`]: a live streaming core, or a signal that the
-/// caller must buffer the whole document for [`shred_dom`].
-enum Opened<'a> {
-    Streaming(Box<RootStream<'a>>),
-    Buffering,
-}
-
-/// Occurrence bounds for one root site in deterministic mode.
-struct SiteSpec {
-    min: u32,
-    max: Option<u32>,
-}
-
-/// Where a root child with a given tag name goes in deterministic mode.
-struct DetTarget<'a> {
-    site: usize,
-    /// `Some((type, content))` for a named-site alternative; `None` for an
-    /// inline element site (claimed through [`RootSite::Inline`]).
-    alt: Option<(TypeName, &'a Type)>,
-}
-
-/// The deterministic root-content checker: when every child position has
-/// a distinct literal tag name and the content model is a plain sequence
-/// of occurrence-bounded sites, the matched language is exactly
-/// `s1^{a1} … sn^{an}` with `min_i <= a_i <= max_i`. Tag names then route
-/// children, and validity reduces to an O(1) order-and-count step per
-/// child — so each subtree is validated once (at its claim) instead of
-/// twice (generic matcher + claim).
-struct SiteTracker<'a> {
-    by_name: BTreeMap<String, DetTarget<'a>>,
-    specs: Vec<SiteSpec>,
-    counts: Vec<u32>,
-    cursor: usize,
-}
-
-impl SiteTracker<'_> {
-    /// Account one child routed to site `k`; false = the document cannot
-    /// match the content model.
-    fn step(&mut self, k: usize) -> bool {
-        if k < self.cursor {
-            return false; // sites occur in sequence order
-        }
-        if k > self.cursor {
-            for i in self.cursor..k {
-                if self.counts[i] < self.specs[i].min {
-                    return false; // a skipped site missed its minimum
-                }
-            }
-            self.cursor = k;
-        }
-        self.counts[k] += 1;
-        match self.specs[k].max {
-            Some(max) => self.counts[k] <= max,
-            None => true,
-        }
-    }
-
-    /// All remaining sites satisfied their minimum?
-    fn close(&self) -> bool {
-        (self.cursor..self.specs.len()).all(|i| self.counts[i] >= self.specs[i].min)
-    }
-}
-
-/// How the root's content model is checked while streaming.
-enum RootCheck<'a> {
-    /// The general derivative fold (validates each subtree in full).
-    Generic(ContentMatcher<'a>),
-    /// The deterministic order-and-count automaton.
-    Deterministic(SiteTracker<'a>),
-}
-
-/// Collect per-site occurrence bounds when the content model is a plain
-/// (possibly nested) sequence of sites, each bare or under one
-/// repetition. Push order mirrors [`collect_root_sites`] exactly, so
-/// `out[i]` describes `sites[i]`. Returns false on any shape the
-/// deterministic checker cannot express (scalar/attribute positions,
-/// structural choices, repetition over a group).
-fn collect_site_specs(ty: &Type, out: &mut Vec<SiteSpec>) -> bool {
-    match ty {
-        Type::Empty => true,
-        Type::Element { .. } => {
-            out.push(SiteSpec {
-                min: 1,
-                max: Some(1),
-            });
-            true
-        }
-        named @ (Type::Choice(_) | Type::Ref(_)) if ty_is_named_layer(named) => {
-            out.push(SiteSpec {
-                min: 1,
-                max: Some(1),
-            });
-            true
-        }
-        Type::Seq(items) => items.iter().all(|t| collect_site_specs(t, out)),
-        Type::Rep { inner, occurs, .. } => {
-            let single_site = matches!(**inner, Type::Element { .. }) || ty_is_named_layer(inner);
-            if !single_site {
-                return false; // repetition over a group: not per-site counting
-            }
-            let at = out.len();
-            if !collect_site_specs(inner, out) {
-                return false;
-            }
-            out[at] = SiteSpec {
-                min: occurs.min,
-                max: occurs.max,
-            };
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Build the deterministic checker, or `None` when a name is non-literal
-/// or duplicated (the generic matcher handles those).
-fn build_site_tracker<'a>(
-    schema: &'a Schema,
-    content: &'a Type,
-    sites: &[RootSite<'a>],
-) -> Option<SiteTracker<'a>> {
-    let mut specs = Vec::new();
-    if !collect_site_specs(content, &mut specs) || specs.len() != sites.len() {
-        return None;
-    }
-    let mut by_name = BTreeMap::new();
-    for (k, site) in sites.iter().enumerate() {
-        match site {
-            RootSite::Inline { name, .. } => {
-                let NameTest::Name(n) = name else { return None };
-                if by_name
-                    .insert(n.clone(), DetTarget { site: k, alt: None })
-                    .is_some()
-                {
-                    return None;
-                }
-            }
-            RootSite::Named { alternatives } => {
-                for alt in alternatives {
-                    // collect_root_sites guaranteed an element-shaped def.
-                    let Some(Type::Element { name, content }) = schema.get(alt) else {
-                        return None;
-                    };
-                    let NameTest::Name(n) = name else { return None };
-                    let target = DetTarget {
-                        site: k,
-                        alt: Some((alt.clone(), content)),
-                    };
-                    if by_name.insert(n.clone(), target).is_some() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-    let counts = vec![0; specs.len()];
-    Some(SiteTracker {
-        by_name,
-        specs,
-        counts,
-        cursor: 0,
-    })
+    done.map(Document::new).ok_or_else(root_left_open)
 }
 
 /// One site of the root content model, in model-walk order. Mirrors the
 /// arms of [`Shredder::spawn_children`] the DOM walk would visit.
 enum RootSite<'a> {
-    /// An inlined element child: the first matching child descends, once.
+    /// An inlined element child (`site` is its `Type::Element`): the first
+    /// child `name` accepts descends, once.
     Inline {
         name: &'a NameTest,
-        content: &'a Type,
+        site: &'a Type,
         claimed: bool,
     },
     /// A named-layer site (a ref or a union of refs), all alternatives
@@ -508,49 +301,33 @@ enum RootSite<'a> {
     Named { alternatives: Vec<TypeName> },
 }
 
-/// An unresolved root column: the relative path's first step has not
-/// arrived yet. Paths anchored on the root itself (`@attr`, `#tilde`)
-/// resolve at open and never become cursors.
-enum ColumnCursor {
-    /// The root's own scalar content (empty relative path): resolves at
-    /// close from the accumulated direct text.
-    OwnText { idx: usize, target: ColumnTarget },
-    /// Waiting for the first child element that `steps[0]` picks; the
-    /// remaining steps are then navigated inside that buffered subtree.
-    Child {
-        steps: Vec<Step>,
-        idx: usize,
-        kind: ScalarKind,
-    },
-    /// Already bound (whether or not a value was found).
-    Done,
-}
-
 /// The streaming core: the open root row plus everything needed to claim
 /// root-child subtrees as they complete.
 struct RootStream<'a> {
     sh: Shredder<'a>,
     root_ty: TypeName,
-    root_name: String,
-    root_table: String,
-    root_id: i64,
-    row: Vec<Value>,
-    cursors: Vec<ColumnCursor>,
-    check: RootCheck<'a>,
+    content: &'a Type,
+    id: i64,
+    /// The root's name, attributes and own text, plus the first child each
+    /// column's first step picks: everything the root row reads.
+    skeleton: Element,
+    /// Elements held among the skeleton's children.
+    kept: usize,
+    /// The first step of each root column that navigates into a child.
+    heads: Vec<Step>,
+    matcher: ContentMatcher<'a>,
     sites: Vec<RootSite<'a>>,
-    reserved: BTreeSet<String>,
-    root_text: String,
 }
 
 /// Inspect the mapping's root type and either build a [`RootStream`] or
-/// report that exact DOM semantics require buffering. Invalidity that is
-/// already decidable from the root tag (wrong element name, attributes
-/// that kill the content model) errors here.
+/// report (`None`) that exact DOM semantics require buffering. Invalidity
+/// that is already decidable from the root tag (wrong element name,
+/// attributes that kill the content model) errors here.
 fn open_root<'a>(
     mapping: &'a Mapping,
     name: &str,
     attributes: &[Attribute],
-) -> Result<Opened<'a>, ShredError> {
+) -> Result<Option<RootStream<'a>>, ShredError> {
     let schema = mapping.pschema.schema();
     let root_ty = mapping.root().clone();
     // Every shape the streaming walk cannot reproduce exactly defers to
@@ -561,103 +338,58 @@ fn open_root<'a>(
         content,
     }) = schema.get(&root_ty)
     else {
-        return Ok(Opened::Buffering);
+        return Ok(None);
     };
     let mut sites = Vec::new();
     if !collect_root_sites(schema, content, &mut sites) {
-        return Ok(Opened::Buffering);
+        return Ok(None);
     }
-    let Some(table_mapping) = mapping.table(&root_ty) else {
-        return Ok(Opened::Buffering);
+    let Some(table) = mapping.table(&root_ty).map(|tm| &tm.table) else {
+        return Ok(None);
     };
-    let Some(table_def) = mapping.catalog.table(&table_mapping.table) else {
-        return Ok(Opened::Buffering);
-    };
-    let Some(key_idx) = table_def.column_index(&table_mapping.key) else {
-        return Ok(Opened::Buffering);
-    };
-
-    if !root_test.matches(name) {
-        return Err(ShredError::Invalid(format!(
-            "root element <{name}> does not match type {root_ty}"
-        )));
-    }
-
     let mut sh = Shredder::new(mapping);
-    let root_id = sh.allocate_id(&table_mapping.table);
-    let mut row = vec![Value::Null; table_def.columns.len()];
-    row[key_idx] = Value::Int(root_id);
-
-    // Columns anchored on the root resolve now; the rest become cursors
-    // that bind to the first matching child subtree.
-    let mut cursors = Vec::new();
-    let column_steps = sh.steps.get(&root_ty).map_or(&[][..], Vec::as_slice);
-    for ((rel_path, target), steps) in table_mapping.columns.iter().zip(column_steps) {
-        let Some(idx) = table_def.column_index(&target.column) else {
-            return Ok(Opened::Buffering);
-        };
-        match rel_path.first() {
-            None => cursors.push(ColumnCursor::OwnText {
-                idx,
-                target: target.clone(),
-            }),
-            Some(step) if step == TILDE_STEP => row[idx] = Value::str(name),
-            Some(step) => {
-                if let Some(attr) = step.strip_prefix('@') {
-                    if let Some(a) = attributes.iter().find(|a| a.name == attr) {
-                        row[idx] = convert(&a.value, target.kind);
-                    }
-                } else {
-                    cursors.push(ColumnCursor::Child {
-                        steps: steps.clone(),
-                        idx,
-                        kind: target.kind,
-                    });
-                }
-            }
-        }
+    let id = sh.allocate_id(table);
+    let mut skeleton = Element::new(name);
+    skeleton.attributes = attributes.to_vec();
+    if sh.row(&root_ty, id, &skeleton, None).is_err() {
+        return Ok(None);
     }
 
-    let check = match build_site_tracker(schema, content, &sites) {
-        Some(tracker) => {
-            // Deterministic-eligible content has no attribute positions,
-            // so any root attribute kills the derivative exactly as it
-            // would in the DOM path.
-            if !attributes.is_empty() {
-                return Err(ShredError::Invalid(format!(
-                    "root element <{name}> does not match type {root_ty}"
-                )));
-            }
-            RootCheck::Deterministic(tracker)
-        }
-        None => {
-            let mut matcher = ContentMatcher::new(schema, content);
-            for attr in attributes {
-                matcher.feed_attribute(attr);
-            }
-            if matcher.failed() {
-                return Err(ShredError::Invalid(format!(
-                    "root element <{name}> does not match type {root_ty}"
-                )));
-            }
-            RootCheck::Generic(matcher)
-        }
+    let invalid = || {
+        ShredError::Invalid(format!(
+            "root element <{name}> does not match type {root_ty}"
+        ))
     };
-    let reserved = sh.literal_names(content);
-    let rs = RootStream {
+    if !root_test.matches(name) {
+        return Err(invalid());
+    }
+    let mut matcher = ContentMatcher::new(schema, content);
+    for attr in attributes {
+        matcher.feed_attribute(attr);
+    }
+    if matcher.failed() {
+        return Err(invalid());
+    }
+    let heads = sh
+        .steps
+        .get(&root_ty)
+        .into_iter()
+        .flatten()
+        .filter_map(|steps| steps.first())
+        .filter(|step| matches!(step, Step::Child(_) | Step::Any { .. }))
+        .cloned()
+        .collect();
+    Ok(Some(RootStream {
         sh,
         root_ty,
-        root_name: name.to_string(),
-        root_table: table_mapping.table.clone(),
-        root_id,
-        row,
-        cursors,
-        check,
+        content,
+        id,
+        skeleton,
+        kept: 0,
+        heads,
+        matcher,
         sites,
-        reserved,
-        root_text: String::new(),
-    };
-    Ok(Opened::Streaming(Box::new(rs)))
+    }))
 }
 
 /// Flatten the root content model into streamable sites, mirroring the
@@ -667,10 +399,10 @@ fn open_root<'a>(
 fn collect_root_sites<'a>(schema: &'a Schema, ty: &'a Type, out: &mut Vec<RootSite<'a>>) -> bool {
     match ty {
         Type::Empty | Type::Scalar { .. } | Type::Attribute { .. } => true,
-        Type::Element { name, content } => {
+        Type::Element { name, .. } => {
             out.push(RootSite::Inline {
                 name,
-                content,
+                site: ty,
                 claimed: false,
             });
             true
@@ -697,135 +429,60 @@ impl RootStream<'_> {
     fn invalid_root(&self) -> ShredError {
         ShredError::Invalid(format!(
             "root element <{}> does not match type {}",
-            self.root_name, self.root_ty
+            self.skeleton.name, self.root_ty
         ))
     }
 
     /// A direct text child of the root. Whitespace-only runs never arrive
     /// here: both the tokenizer and the tree parser drop them.
     fn text(&mut self, text: &str) -> Result<(), ShredError> {
-        match &mut self.check {
-            RootCheck::Generic(matcher) => {
-                matcher.feed_text(text);
-                if matcher.failed() {
-                    return Err(self.invalid_root());
-                }
-            }
-            // Deterministic-eligible content has no scalar positions, so
-            // non-whitespace text kills the derivative in the DOM path.
-            RootCheck::Deterministic(_) => return Err(self.invalid_root()),
+        self.matcher.feed_text(text);
+        if self.matcher.failed() {
+            return Err(self.invalid_root());
         }
-        self.root_text.push_str(text);
+        self.skeleton.children.push(Node::Text(text.to_string()));
         Ok(())
     }
 
     /// A completed root-child subtree: validate it into the root's content
-    /// model, bind any waiting column cursors, and offer it to each site —
-    /// every site sees every child, exactly like the DOM walk.
+    /// model, keep it if a root column reads it, and offer it to each
+    /// site — every site sees every child, exactly like the DOM walk.
     fn child(&mut self, child: &Element) -> Result<(), ShredError> {
-        // Route the child. Generic mode validates the whole subtree into
-        // the derivative here (and validates again at the claim below);
-        // deterministic mode does one O(1) order-and-count step now and
-        // defers the single full validation to the claim.
-        let det = match &mut self.check {
-            RootCheck::Generic(matcher) => {
-                matcher.feed_element(child);
-                if matcher.failed() {
-                    return Err(self.invalid_root());
-                }
-                None
-            }
-            RootCheck::Deterministic(tracker) => {
-                let Some(target) = tracker.by_name.get(&child.name) else {
-                    return Err(self.invalid_root());
-                };
-                let routed = (target.site, target.alt.clone());
-                if !tracker.step(routed.0) {
-                    return Err(self.invalid_root());
-                }
-                Some(routed)
-            }
-        };
-        for cursor in self.cursors.iter_mut() {
-            if let ColumnCursor::Child { steps, idx, kind } = cursor {
-                if steps[0].picks(&child.name) {
-                    if let Some(value) = extract_value(child, &steps[1..], *kind) {
-                        self.row[*idx] = value;
-                    }
-                    *cursor = ColumnCursor::Done;
-                }
-            }
+        self.matcher.feed_element(child);
+        if self.matcher.failed() {
+            return Err(self.invalid_root());
         }
-        let root_id = self.root_id;
-        let Some((site_idx, alt)) = det else {
-            // Generic mode: offer the child to every site, exactly like
-            // the DOM walk.
-            for site in self.sites.iter_mut() {
-                match site {
-                    RootSite::Inline {
-                        name,
-                        content,
-                        claimed,
-                    } => {
-                        if !*claimed && name.matches(&child.name) {
-                            *claimed = true;
-                            let inner_reserved = self.sh.literal_names(content);
-                            self.sh.spawn_children(
-                                content,
-                                child,
-                                &self.root_ty,
-                                root_id,
-                                &inner_reserved,
-                            )?;
-                        }
-                    }
-                    RootSite::Named { alternatives } => {
-                        self.sh.claim_named_child(
-                            alternatives,
-                            child,
-                            &self.root_ty,
-                            root_id,
-                            &self.reserved,
-                        )?;
-                    }
-                }
-            }
-            return Ok(());
+        let skeleton = &self.skeleton;
+        let first_pick = |step: &Step| {
+            step.picks(&child.name) && !skeleton.child_elements().any(|e| step.picks(&e.name))
         };
-        // Deterministic mode: the child's name picked a unique site, so
-        // validate the subtree exactly once, at its claim.
-        match alt {
-            Some((alt_ty, alt_content)) => {
-                if !content_matches(self.sh.schema, child, alt_content) {
-                    return Err(self.invalid_root());
-                }
-                self.sh
-                    .shred_instance(&alt_ty, child, Some((&self.root_ty, root_id)))?;
-            }
-            None => {
-                let (content, first) = match &mut self.sites[site_idx] {
-                    RootSite::Inline {
-                        content, claimed, ..
-                    } => {
-                        let first = !*claimed;
+        if self.heads.iter().any(first_pick) {
+            self.kept += child.element_count();
+            self.skeleton.children.push(Node::Element(child.clone()));
+        }
+        // The matcher just matched `child` to a position of the root's
+        // content, so claims may lean on that check.
+        let parent = (&self.root_ty, self.id);
+        let checked = Some(self.content);
+        for site in self.sites.iter_mut() {
+            match site {
+                RootSite::Inline {
+                    name,
+                    site,
+                    claimed,
+                } => {
+                    if !*claimed && name.matches(&child.name) {
                         *claimed = true;
-                        (*content, first)
+                        self.sh.descend(site, child, parent, checked)?;
                     }
-                    // build_site_tracker only routes `alt: None` to inline
-                    // sites, but stay total rather than panic.
-                    RootSite::Named { .. } => return Err(self.invalid_root()),
-                };
-                if !content_matches(self.sh.schema, child, content) {
-                    return Err(self.invalid_root());
                 }
-                if first {
-                    let inner_reserved = self.sh.literal_names(content);
-                    self.sh.spawn_children(
-                        content,
+                RootSite::Named { alternatives } => {
+                    self.sh.claim_named_child(
+                        alternatives,
                         child,
-                        &self.root_ty,
-                        root_id,
-                        &inner_reserved,
+                        parent,
+                        self.content,
+                        checked,
                     )?;
                 }
             }
@@ -833,29 +490,27 @@ impl RootStream<'_> {
         Ok(())
     }
 
-    /// The root closed: the content model must be complete, own-text
-    /// columns resolve, and the root row finally flows into the sink.
+    /// The root closed: the content model must be complete, and the root
+    /// row, filled from the skeleton, finally flows into the sink.
     fn finish(mut self) -> Result<(Database, u64), ShredError> {
-        let complete = match &self.check {
-            RootCheck::Generic(matcher) => matcher.matches(),
-            RootCheck::Deterministic(tracker) => tracker.close(),
-        };
-        if !complete {
+        if !self.matcher.matches() {
             return Err(self.invalid_root());
         }
-        let text = self.root_text.trim();
-        for cursor in &self.cursors {
-            if let ColumnCursor::OwnText { idx, target } = cursor {
-                if text.is_empty() && target.kind == ScalarKind::Integer {
-                    continue;
-                }
-                self.row[*idx] = convert(text, target.kind);
-            }
-        }
-        let row = std::mem::take(&mut self.row);
-        self.sh.emit(&self.root_table, self.root_id, row)?;
+        let (table, row) = self.sh.row(&self.root_ty, self.id, &self.skeleton, None)?;
+        self.sh.emit(table, self.id, row)?;
         self.sh.finish()
     }
+}
+
+/// What the shredder knows about one content model before any document
+/// arrives.
+struct Model<'a> {
+    /// Literal child names that the model's literal sites own: a wildcard
+    /// alternative never claims them.
+    reserved: BTreeSet<String>,
+    /// Each name the model mentions that exactly one element position of
+    /// the model accepts, mapped to that position (see [`sole_positions`]).
+    sole: BTreeMap<String, &'a Type>,
 }
 
 struct Shredder<'a> {
@@ -874,20 +529,28 @@ struct Shredder<'a> {
     /// Each table's column paths resolved against its type's content
     /// model, in `TableMapping::columns` order.
     steps: BTreeMap<TypeName, Vec<Vec<Step>>>,
+    /// Every content model of the schema — each type's, and each inlined
+    /// element's — keyed by its address in the schema.
+    models: BTreeMap<*const Type, Model<'a>>,
 }
 
 impl<'a> Shredder<'a> {
     fn new(mapping: &'a Mapping) -> Shredder<'a> {
+        let schema = mapping.pschema.schema();
         let mut sh = Shredder {
             mapping,
-            schema: mapping.pschema.schema(),
+            schema,
             db: Database::from_catalog(&mapping.catalog),
             next_ids: BTreeMap::new(),
             emitted: BTreeMap::new(),
             pending: BTreeMap::new(),
             rows: 0,
             steps: BTreeMap::new(),
+            models: BTreeMap::new(),
         };
+        for (_, def) in schema.iter() {
+            sh.add_models(type_content(def));
+        }
         sh.steps = mapping
             .tables
             .iter()
@@ -896,15 +559,46 @@ impl<'a> Shredder<'a> {
         sh
     }
 
+    /// Record `model` and the models of the elements inlined in it.
+    fn add_models(&mut self, model: &'a Type) {
+        let facts = Model {
+            reserved: literal_names(self.schema, model),
+            sole: sole_positions(self.schema, model),
+        };
+        self.models.insert(std::ptr::from_ref(model), facts);
+        self.add_inlined(model);
+    }
+
+    fn add_inlined(&mut self, ty: &'a Type) {
+        match ty {
+            Type::Element { content, .. } => self.add_models(content),
+            Type::Seq(items) | Type::Choice(items) => {
+                items.iter().for_each(|t| self.add_inlined(t));
+            }
+            Type::Rep { inner, .. } => self.add_inlined(inner),
+            _ => {}
+        }
+    }
+
+    fn model(&self, model: &Type) -> Result<&Model<'a>, ShredError> {
+        self.models
+            .get(&std::ptr::from_ref(model))
+            .ok_or_else(|| inconsistent("content model", model))
+    }
+
+    /// Does `position` alone, among the element positions of `model`,
+    /// accept a child named `name`?
+    fn sole(&self, model: &Type, name: &str, position: &Type) -> Result<bool, ShredError> {
+        let sole = self.model(model)?.sole.get(name);
+        Ok(sole.is_some_and(|p| std::ptr::eq(*p, position)))
+    }
+
     /// Resolve every column path of `tm` against the content model of
     /// `ty`. An `#any` step picks the first child the wildcard's name
     /// test accepts that no literal site of the same content model
     /// claims — a literal `title` beside `~[String]?` keeps its child.
     fn column_steps(&self, ty: &TypeName, tm: &TableMapping) -> Vec<Vec<Step>> {
-        let model = match self.schema.get(ty) {
-            Some(Type::Element { content, .. }) => Some(content.as_ref()),
-            other => other,
-        };
+        let model = self.schema.get(ty).map(type_content);
         tm.columns
             .keys()
             .map(|rel_path| {
@@ -932,7 +626,9 @@ impl<'a> Shredder<'a> {
                         }
                         Step::Any {
                             test: element.map_or(NameTest::Any, |(nt, _)| nt.clone()),
-                            reserved: here.map(|m| self.literal_names(m)).unwrap_or_default(),
+                            reserved: here
+                                .map(|m| literal_names(self.schema, m))
+                                .unwrap_or_default(),
                         }
                     })
                     .collect()
@@ -1004,153 +700,130 @@ impl<'a> Shredder<'a> {
         Ok((self.db, self.rows))
     }
 
+    /// The row of instance `id` of `ty`, anchored at `element`: the key,
+    /// the foreign key to `parent`, and every mapped column. Returns it
+    /// with its table's name.
+    fn row(
+        &self,
+        ty: &TypeName,
+        id: i64,
+        element: &Element,
+        parent: Option<(&TypeName, i64)>,
+    ) -> Result<(&'a str, Vec<Value>), ShredError> {
+        let mapping = self.mapping;
+        let tm = mapping
+            .table(ty)
+            .ok_or_else(|| inconsistent("table mapping for type", ty))?;
+        let def = mapping
+            .catalog
+            .table(&tm.table)
+            .ok_or_else(|| inconsistent("catalog table", &tm.table))?;
+        let column = |name: &String, what: &str| {
+            def.column_index(name)
+                .ok_or_else(|| inconsistent(what, name))
+        };
+        let mut row = vec![Value::Null; def.columns.len()];
+        row[column(&tm.key, "key column")?] = Value::Int(id);
+        if let Some((parent_ty, parent_id)) = parent {
+            if let Some(fk) = tm.parent_fk.get(parent_ty) {
+                row[column(fk, "foreign-key column")?] = Value::Int(parent_id);
+            }
+        }
+        let steps = self
+            .steps
+            .get(ty)
+            .ok_or_else(|| inconsistent("table mapping for type", ty))?;
+        for (target, steps) in tm.columns.values().zip(steps) {
+            if let Some(value) = extract_value(element, steps, target.kind) {
+                row[column(&target.column, "mapped column")?] = value;
+            }
+        }
+        Ok((&tm.table, row))
+    }
+
     /// Shred one instance of `ty`, anchored at `element` (the instance's
     /// own element, or the parent element for sequence-shaped types).
+    /// `checked` is the content model `element` is known to match, if any.
     fn shred_instance(
         &mut self,
         ty: &TypeName,
         element: &Element,
         parent: Option<(&TypeName, i64)>,
+        checked: Option<&'a Type>,
     ) -> Result<i64, ShredError> {
-        let table_mapping = self
+        let schema = self.schema;
+        let def = schema
+            .get(ty)
+            .ok_or_else(|| inconsistent("type definition", ty))?;
+        let table = self
             .mapping
             .table(ty)
             .ok_or_else(|| inconsistent("table mapping for type", ty))?;
-        let def = self
-            .schema
-            .get(ty)
-            .ok_or_else(|| inconsistent("type definition", ty))?;
-        let table_def = self
-            .mapping
-            .catalog
-            .table(&table_mapping.table)
-            .ok_or_else(|| inconsistent("catalog table", &table_mapping.table))?;
-
-        let id = self.allocate_id(&table_mapping.table);
-
-        let mut row = vec![Value::Null; table_def.columns.len()];
-        let key_idx = table_def
-            .column_index(&table_mapping.key)
-            .ok_or_else(|| inconsistent("key column", &table_mapping.key))?;
-        row[key_idx] = Value::Int(id);
-        if let Some((parent_ty, parent_id)) = parent {
-            if let Some(fk) = table_mapping.parent_fk.get(parent_ty) {
-                let fk_idx = table_def
-                    .column_index(fk)
-                    .ok_or_else(|| inconsistent("foreign-key column", fk))?;
-                row[fk_idx] = Value::Int(parent_id);
-            }
-        }
-
-        // The element whose content the columns read: for element-anchored
-        // types the instance element itself.
-        let steps = self
-            .steps
-            .get(ty)
-            .ok_or_else(|| inconsistent("table mapping for type", ty))?;
-        fill_columns(table_mapping, steps, table_def, element, &mut row)?;
-
-        self.emit(&table_mapping.table, id, row)?;
-
-        // Recurse into child types.
-        let content = match def {
-            Type::Element { content, .. } => content,
-            other => other,
-        };
-        let reserved = self.literal_names(content);
-        self.spawn_children(content, element, ty, id, &reserved)?;
+        let id = self.allocate_id(&table.table);
+        let (table, row) = self.row(ty, id, element, parent)?;
+        self.emit(table, id, row)?;
+        let content = type_content(def);
+        self.spawn_children(content, element, (ty, id), content, checked)?;
         Ok(id)
     }
 
-    /// Literal child-element names claimed by named sites in a content
-    /// model. Wildcard alternatives must not shred children carrying these
-    /// names — they belong to their literal sites.
-    fn literal_names(&self, ty: &Type) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.collect_literal_names(ty, &mut out, 0);
-        out
-    }
-
-    fn collect_literal_names(&self, ty: &Type, out: &mut BTreeSet<String>, depth: usize) {
-        if depth > 16 {
-            return;
-        }
-        match ty {
-            Type::Element {
-                name: NameTest::Name(n),
-                ..
-            } => {
-                out.insert(n.clone());
-            }
-            Type::Seq(items) | Type::Choice(items) => {
-                items
-                    .iter()
-                    .for_each(|t| self.collect_literal_names(t, out, depth));
-            }
-            Type::Rep { inner, .. } => self.collect_literal_names(inner, out, depth),
-            Type::Ref(name) => {
-                if let Some(def) = self.schema.get(name) {
-                    match def {
-                        Type::Element {
-                            name: NameTest::Name(n),
-                            ..
-                        } => {
-                            out.insert(n.clone());
-                        }
-                        Type::Element { .. } => {}
-                        other => self.collect_literal_names(other, out, depth + 1),
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Walk a content model over an anchor element, shredding instances of
-    /// referenced types found among the element's children.
+    /// referenced types found among the element's children. `scope` is
+    /// the model whose literal sites reserve names; `checked` the model
+    /// the anchor is known to match, if any.
     fn spawn_children(
         &mut self,
-        ty: &Type,
+        ty: &'a Type,
         element: &Element,
-        owner: &TypeName,
-        owner_id: i64,
-        reserved: &BTreeSet<String>,
+        parent: (&TypeName, i64),
+        scope: &'a Type,
+        checked: Option<&'a Type>,
     ) -> Result<(), ShredError> {
         match ty {
             Type::Empty | Type::Scalar { .. } | Type::Attribute { .. } => Ok(()),
-            Type::Element { name, content } => {
-                // Inlined nested element: descend into the matching child,
-                // which starts a fresh reserved-name scope.
-                let child = element.child_elements().find(|e| name.matches(&e.name));
-                if let Some(child) = child {
-                    let inner_reserved = self.literal_names(content);
-                    self.spawn_children(content, child, owner, owner_id, &inner_reserved)?;
+            Type::Element { name, .. } => {
+                match element.child_elements().find(|e| name.matches(&e.name)) {
+                    Some(child) => self.descend(ty, child, parent, checked),
+                    None => Ok(()),
                 }
-                Ok(())
             }
-            Type::Seq(items) => {
-                for item in items {
-                    self.spawn_children(item, element, owner, owner_id, reserved)?;
-                }
-                Ok(())
-            }
-            Type::Rep { inner, .. } => {
-                self.spawn_children(inner, element, owner, owner_id, reserved)
-            }
+            Type::Rep { inner, .. } => self.spawn_children(inner, element, parent, scope, checked),
             Type::Choice(_) | Type::Ref(_) if ty_is_named_layer(ty) => {
                 let alts = named_alternatives(ty);
-                self.shred_named_site(&alts, element, owner, owner_id, reserved)
+                for child in element.child_elements() {
+                    self.claim_named_child(&alts, child, parent, scope, checked)?;
+                }
+                self.claim_group(&alts, element, parent, checked)
             }
-            Type::Choice(items) => {
-                // A non-named choice cannot occur in a p-schema; recurse
-                // defensively.
+            // A non-named choice cannot occur in a p-schema; walk it like a
+            // sequence.
+            Type::Seq(items) | Type::Choice(items) => {
                 for item in items {
-                    self.spawn_children(item, element, owner, owner_id, reserved)?;
+                    self.spawn_children(item, element, parent, scope, checked)?;
                 }
                 Ok(())
             }
             Type::Ref(_) => unreachable!("covered by the named-layer arm"),
         }
+    }
+
+    /// Walk an inlined element's content over the child it picked, which
+    /// starts a fresh reserved-name scope. The child is known to match
+    /// that content when its parent was checked and this position alone
+    /// accepts its name.
+    fn descend(
+        &mut self,
+        site: &'a Type,
+        child: &Element,
+        parent: (&TypeName, i64),
+        checked: Option<&'a Type>,
+    ) -> Result<(), ShredError> {
+        let content = type_content(site);
+        let checked = match checked {
+            Some(model) if self.sole(model, &child.name, site)? => Some(content),
+            _ => None,
+        };
+        self.spawn_children(content, child, parent, content, checked)
     }
 
     /// Offer one child element to a named site: the first matching
@@ -1160,85 +833,153 @@ impl<'a> Shredder<'a> {
         &mut self,
         alternatives: &[TypeName],
         child: &Element,
-        owner: &TypeName,
-        owner_id: i64,
-        reserved: &BTreeSet<String>,
+        parent: (&TypeName, i64),
+        scope: &'a Type,
+        checked: Option<&'a Type>,
     ) -> Result<(), ShredError> {
+        let schema = self.schema;
         for alt in alternatives {
-            let def = self
-                .schema
+            let def = schema
                 .get(alt)
                 .ok_or_else(|| inconsistent("alternative type", alt))?;
-            if let Type::Element { name, .. } = def {
-                // A wildcard alternative must not steal children that
-                // literal-named sites in this content model own.
-                if name.is_wildcard() && reserved.contains(&child.name) {
-                    continue;
-                }
-                if name.matches(&child.name) && element_matches(self.schema, child, def) {
-                    self.shred_instance(alt, child, Some((owner, owner_id)))?;
-                    break;
-                }
+            let Type::Element { name, content } = def else {
+                continue;
+            };
+            // A wildcard alternative must not steal children that
+            // literal-named sites in this content model own.
+            if name.is_wildcard() && self.model(scope)?.reserved.contains(&child.name) {
+                continue;
+            }
+            if !name.matches(&child.name) {
+                continue;
+            }
+            // When this alternative alone accepts the name, the check of
+            // the parent already matched the child to it.
+            let known = match checked {
+                Some(model) => self.sole(model, &child.name, def)?,
+                None => false,
+            };
+            debug_assert!(
+                !known || element_matches(schema, child, def),
+                "<{}> was claimed for {alt} unchecked but does not match it",
+                child.name
+            );
+            if known || element_matches(schema, child, def) {
+                self.shred_instance(alt, child, Some(parent), Some(content))?;
+                break;
             }
         }
         Ok(())
     }
 
-    /// Handle one named-layer site (a `Ref` or a union of refs): find the
-    /// child elements (or content groups) instantiating each alternative.
-    fn shred_named_site(
+    /// Let the first sequence-shaped alternative whose content group is
+    /// present claim the anchor element itself (at most one per parent).
+    fn claim_group(
         &mut self,
         alternatives: &[TypeName],
         element: &Element,
-        owner: &TypeName,
-        owner_id: i64,
-        reserved: &BTreeSet<String>,
+        parent: (&TypeName, i64),
+        checked: Option<&'a Type>,
     ) -> Result<(), ShredError> {
-        // Element-anchored alternatives claim matching child elements;
-        // sequence-anchored alternatives claim the anchor element itself
-        // when their content group is present.
-        let mut any_sequence_claimed = false;
-        for child in element.child_elements() {
-            self.claim_named_child(alternatives, child, owner, owner_id, reserved)?;
-        }
+        let schema = self.schema;
         for alt in alternatives {
-            let def = self
-                .schema
+            let def = schema
                 .get(alt)
                 .ok_or_else(|| inconsistent("alternative type", alt))?;
-            if matches!(def, Type::Element { .. }) {
-                continue;
-            }
-            if any_sequence_claimed {
-                break; // at most one group alternative per parent
-            }
-            if sequence_type_present(self.schema, def, element) {
-                self.shred_instance(alt, element, Some((owner, owner_id)))?;
-                any_sequence_claimed = true;
+            if !matches!(def, Type::Element { .. }) && sequence_type_present(schema, def, element) {
+                self.shred_instance(alt, element, Some(parent), checked)?;
+                break;
             }
         }
         Ok(())
     }
 }
 
-/// Evaluate every mapped column of `table_mapping` (its paths resolved
-/// into `steps`) against `element`, writing hits into `row`.
-fn fill_columns(
-    table_mapping: &TableMapping,
-    steps: &[Vec<Step>],
-    table_def: &legodb_relational::TableDef,
-    element: &Element,
-    row: &mut [Value],
-) -> Result<(), ShredError> {
-    for (target, steps) in table_mapping.columns.values().zip(steps) {
-        if let Some(value) = extract_value(element, steps, target.kind) {
-            let idx = table_def
-                .column_index(&target.column)
-                .ok_or_else(|| inconsistent("mapped column", &target.column))?;
-            row[idx] = value;
-        }
+/// The content model of a definition: an element's content, or the
+/// definition itself for sequence-shaped and union types.
+fn type_content(def: &Type) -> &Type {
+    match def {
+        Type::Element { content, .. } => content,
+        other => other,
     }
-    Ok(())
+}
+
+/// Collect the element positions of `model` — where the validator's
+/// derivative can consume a child element — with their name tests: each
+/// inlined element, and the definition of each element-shaped named
+/// alternative, walking through sequence-shaped ones. False when the walk
+/// stopped at the nesting bound of a recursive type, leaving `out` partial.
+fn element_positions<'a>(
+    schema: &'a Schema,
+    ty: &'a Type,
+    out: &mut Vec<(&'a NameTest, &'a Type)>,
+    depth: usize,
+) -> bool {
+    match ty {
+        Type::Empty | Type::Scalar { .. } | Type::Attribute { .. } => true,
+        Type::Element { name, .. } => {
+            out.push((name, ty));
+            true
+        }
+        Type::Seq(items) | Type::Choice(items) => {
+            let mut whole = true;
+            for t in items {
+                whole &= element_positions(schema, t, out, depth);
+            }
+            whole
+        }
+        Type::Rep { inner, .. } => element_positions(schema, inner, out, depth),
+        Type::Ref(name) => match schema.get(name) {
+            Some(def @ Type::Element { name, .. }) => {
+                out.push((name, def));
+                true
+            }
+            Some(def) => depth < 16 && element_positions(schema, def, out, depth + 1),
+            None => true,
+        },
+    }
+}
+
+/// Literal child-element names claimed by the sites of a content model.
+/// Wildcard alternatives must not shred children carrying these names —
+/// they belong to their literal sites.
+fn literal_names(schema: &Schema, model: &Type) -> BTreeSet<String> {
+    let mut positions = Vec::new();
+    element_positions(schema, model, &mut positions, 0);
+    positions
+        .iter()
+        .filter_map(|(test, _)| test.literal())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Each name `model` mentions (literally or as a wildcard's exclusion)
+/// that exactly one of its element positions accepts, mapped to that
+/// position. Empty when the positions could not all be collected.
+fn sole_positions<'a>(schema: &'a Schema, model: &'a Type) -> BTreeMap<String, &'a Type> {
+    let mut positions = Vec::new();
+    if !element_positions(schema, model, &mut positions, 0) {
+        return BTreeMap::new();
+    }
+    let mentioned: BTreeSet<&str> = positions
+        .iter()
+        .flat_map(|(test, _)| match test {
+            NameTest::Name(n) => std::slice::from_ref(n),
+            NameTest::AnyExcept(excluded) => excluded.as_slice(),
+            NameTest::Any => &[],
+        })
+        .map(String::as_str)
+        .collect();
+    mentioned
+        .into_iter()
+        .filter_map(|name| {
+            let mut accepting = positions.iter().filter(|(test, _)| test.matches(name));
+            match (accepting.next(), accepting.next()) {
+                (Some((_, position)), None) => Some((name.to_string(), *position)),
+                _ => None,
+            }
+        })
+        .collect()
 }
 
 fn ty_is_named_layer(ty: &Type) -> bool {
@@ -1619,9 +1360,9 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_root_site_streams_through_the_generic_matcher() {
-        // A wildcard child name is ineligible for the deterministic
-        // tracker but still streams through the derivative matcher.
+    fn wildcard_root_site_streams_through_the_content_matcher() {
+        // A wildcard root site streams like any other; its children's
+        // names are mentioned nowhere, so each claim validates.
         let schema = parse_schema(
             "type R = r[ W{0,*} ]
              type W = ~[ String ]",
@@ -1636,9 +1377,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_root_occurrence_checks_match_dom() {
-        // Ordering and occurrence violations decided by the O(1) site
-        // automaton must agree with the DOM oracle, document by document.
+    fn root_occurrence_checks_match_dom() {
+        // Ordering and occurrence violations decided by the streaming
+        // content matcher must agree with the DOM oracle, document by
+        // document.
         let schema = parse_schema(
             "type R = r[ A{1,2}, B ]
              type A = a[ String ]
@@ -1675,6 +1417,28 @@ mod tests {
         let se = shred_events(&m, events(attr)).unwrap_err();
         let de = shred_dom(&m, &parse(attr).unwrap()).unwrap_err();
         assert_eq!(se, de);
+    }
+
+    #[test]
+    fn alternatives_sharing_a_tag_are_told_apart_by_validation() {
+        // Both alternatives accept `<show>`, so no claim may lean on the
+        // parent's check: each one validates and the right table wins.
+        let schema = parse_schema(
+            "type R = r[ (M | T){0,*} ]
+             type M = show[ @type[ String ], box_office[ Integer ] ]
+             type T = show[ @type[ String ], seasons[ Integer ] ]",
+        )
+        .unwrap();
+        let m = rel(&PSchema::try_new(schema).unwrap(), &Statistics::new());
+        let xml = r#"<r><show type="tv"><seasons>3</seasons></show>
+                       <show type="movie"><box_office>9</box_office></show>
+                       <show type="tv"><seasons>5</seasons></show></r>"#;
+        let (streamed, report) = shred_events_report(&m, events(xml)).unwrap();
+        assert!(report.streamed);
+        let dom = shred_dom(&m, &parse(xml).unwrap()).unwrap();
+        assert_eq!(streamed.snapshot(), dom.snapshot());
+        assert_eq!(dom.table("M").unwrap().len(), 1);
+        assert_eq!(dom.table("T").unwrap().len(), 2);
     }
 
     #[test]

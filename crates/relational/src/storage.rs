@@ -625,7 +625,8 @@ impl Database {
     /// skipped, so a crash between checkpoint install and WAL truncation
     /// (or a double `open`) never applies an operation twice. The WAL's
     /// torn tail is truncated (see `wal.rs`); the checkpoint was installed
-    /// atomically, so a torn frame in it is [`RelationalError::Corrupt`].
+    /// atomically, so a torn frame in it, or a missing tail that its
+    /// closing frame's count exposes, is [`RelationalError::Corrupt`].
     pub fn open(dir: &DirHandle) -> Result<Database, RelationalError> {
         if dir
             .exists(JSON_CHECKPOINT_FILE)
@@ -637,16 +638,11 @@ impl Database {
         }
         let checkpoint = dir
             .read_opt(CHECKPOINT_FILE)
-            .map_err(|e| wal::io_err("checkpoint read", &e))?
-            .unwrap_or_default();
-        let (restored, whole) = wal::scan_frames(&checkpoint)?;
-        if whole != checkpoint.len() as u64 {
-            return Err(wal::corrupt("torn or checksum-failing checkpoint frame"));
-        }
-        let last_lsn = restored.first().map_or(0, |(lsn, _)| *lsn);
-        if restored.iter().any(|(lsn, _)| *lsn != last_lsn) {
-            return Err(wal::corrupt("checkpoint frames disagree on the LSN"));
-        }
+            .map_err(|e| wal::io_err("checkpoint read", &e))?;
+        let (restored, last_lsn) = match checkpoint {
+            Some(bytes) => read_checkpoint(&bytes)?,
+            None => (Vec::new(), 0),
+        };
         let (wal_handle, tail) = Wal::open(dir, last_lsn)?;
         let mut db = Database::new();
         for (_, record) in restored.into_iter().chain(tail) {
@@ -669,6 +665,7 @@ impl Database {
                 }
                 Ok(())
             }
+            WalRecord::End { .. } => Err(wal::corrupt("a closing frame in the log")),
         }
     }
 
@@ -727,11 +724,14 @@ impl Database {
 
     /// Every table in name order as frames stamped with `lsn`: its
     /// `CreateTable`, its rows in `Insert` frames, then one `CreateIndex`
-    /// per indexed column (sorted).
+    /// per indexed column (sorted). An `End` frame counting them closes
+    /// the sequence.
     fn encode_frames(&self, lsn: u64) -> Vec<u8> {
         let mut out = Vec::new();
+        let mut frames = 0;
         let mut push = |record: WalRecord| {
             out.extend_from_slice(&wal::encode_frame(&wal::encode_record(lsn, &record)));
+            frames += 1;
         };
         for table in self.tables.values() {
             let name = &table.def.name;
@@ -753,8 +753,31 @@ impl Database {
                 push(WalRecord::CreateIndex { table, column });
             }
         }
+        let end = wal::encode_record(lsn, &WalRecord::End { frames });
+        out.extend_from_slice(&wal::encode_frame(&end));
         out
     }
+}
+
+/// A checkpoint file's records and the LSN they are stamped with. Every
+/// frame must be whole and carry that one LSN, and the last must be the
+/// `End` that counts the others, so a file cut at a frame boundary is as
+/// corrupt as one cut mid-frame.
+fn read_checkpoint(bytes: &[u8]) -> Result<(Vec<(u64, WalRecord)>, u64), RelationalError> {
+    let (mut records, whole) = wal::scan_frames(bytes)?;
+    if whole != bytes.len() as u64 {
+        return Err(wal::corrupt("torn or checksum-failing checkpoint frame"));
+    }
+    let Some((lsn, WalRecord::End { frames })) = records.pop() else {
+        return Err(wal::corrupt("checkpoint does not end in its closing frame"));
+    };
+    if frames != records.len() as u64 {
+        return Err(wal::corrupt("checkpoint is missing frames"));
+    }
+    if records.iter().any(|(l, _)| *l != lsn) {
+        return Err(wal::corrupt("checkpoint frames disagree on the LSN"));
+    }
+    Ok((records, lsn))
 }
 
 #[cfg(test)]
@@ -1308,6 +1331,7 @@ mod tests {
                 WalRecord::CreateTable(def) => format!("table {}", def.name),
                 WalRecord::Insert { rows, .. } => format!("rows {}", rows.len()),
                 WalRecord::CreateIndex { column, .. } => format!("index {column}"),
+                WalRecord::End { frames } => format!("end {frames}"),
             })
             .collect();
         assert_eq!(
@@ -1317,7 +1341,8 @@ mod tests {
                 "rows 1024",
                 "rows 1024",
                 "rows 452",
-                "index year"
+                "index year",
+                "end 5"
             ]
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -1330,7 +1355,8 @@ mod tests {
         let good = dir.read(CHECKPOINT_FILE).unwrap();
         let last_frame = 4 + 8 + {
             let (records, _) = wal::scan_frames(&good).unwrap();
-            wal::encode_record(records[0].0, &records[4].1).len()
+            let (lsn, last) = records.last().unwrap();
+            wal::encode_record(*lsn, last).len()
         };
         let mut flipped = good.clone();
         flipped[good.len() / 2] ^= 0x10;
@@ -1347,6 +1373,38 @@ mod tests {
         }
         dir.write_atomic(CHECKPOINT_FILE, &good).unwrap();
         assert_eq!(Database::open(&dir).unwrap().total_rows(), 2500);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoint_cut_at_a_frame_boundary_is_corrupt_not_truncated() {
+        let _quiet = quiet_faults();
+        let (root, dir) = checkpointed("cut-checkpoint", 2500);
+        let good = dir.read(CHECKPOINT_FILE).unwrap();
+        // The first two frames: the table and its first 1,024 rows.
+        let mut two_frames = 0;
+        for _ in 0..2 {
+            let len = u32::from_le_bytes(good[two_frames..two_frames + 4].try_into().unwrap());
+            two_frames += 4 + 8 + len as usize;
+        }
+        let (records, whole) = wal::scan_frames(&good[..two_frames]).unwrap();
+        assert_eq!((records.len(), whole), (2, two_frames as u64));
+        dir.write_atomic(CHECKPOINT_FILE, &good[..two_frames])
+            .unwrap();
+        assert!(matches!(
+            Database::open(&dir),
+            Err(RelationalError::Corrupt { .. })
+        ));
+        // A closing frame past the checkpoint is no record of a log either.
+        let (records, _) = wal::scan_frames(&good).unwrap();
+        let end = wal::encode_record(records[0].0 + 1, &WalRecord::End { frames: 0 });
+        dir.write_atomic(CHECKPOINT_FILE, &good).unwrap();
+        dir.write_atomic(crate::wal::WAL_FILE, &wal::encode_frame(&end))
+            .unwrap();
+        assert!(matches!(
+            Database::open(&dir),
+            Err(RelationalError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -25,6 +25,7 @@
 //!   op 1  CreateTable  def
 //!   op 2  CreateIndex  table:str column:str
 //!   op 3  Insert       table:str count × row
+//!   op 4  End          frames:uvar
 //! row    = count × value
 //! value  = 0 (NULL) | 1 ivar (integer) | 2 str (string)
 //! def    = name:str key:opt<str> columnar:u8 rows:f64
@@ -41,7 +42,10 @@
 //! tag, a varint past 64 bits, invalid UTF-8, leftover bytes, or a length
 //! or count larger than the bytes left (checked before anything is
 //! allocated from it) is [`RelationalError::Corrupt`]. A checkpoint file
-//! and a snapshot are sequences of the same frames.
+//! and a snapshot are sequences of the same frames, closed by an `End`
+//! record that counts the frames before it, so a file cut at a frame
+//! boundary is as corrupt as one cut mid-frame. `End` never appears in a
+//! log.
 //!
 //! ## Torn-tail truncation rule
 //!
@@ -92,6 +96,7 @@ const MAX_PAYLOAD: u32 = 1 << 30;
 const OP_CREATE_TABLE: u8 = 1;
 const OP_CREATE_INDEX: u8 = 2;
 const OP_INSERT: u8 = 3;
+const OP_END: u8 = 4;
 
 const VALUE_NULL: u8 = 0;
 const VALUE_INT: u8 = 1;
@@ -109,6 +114,8 @@ pub enum WalRecord {
     /// tears the frame and recovery drops the rows wholly — replay never
     /// surfaces part of an insert.
     Insert { table: String, rows: Vec<Row> },
+    /// Closes a checkpoint or snapshot: the number of frames before it.
+    End { frames: u64 },
 }
 
 /// The write-ahead log: an append-only, checksummed record stream.
@@ -332,6 +339,10 @@ pub fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             put_str(&mut out, column);
         }
         WalRecord::Insert { table, rows } => put_insert(&mut out, table, rows),
+        WalRecord::End { frames } => {
+            out.push(OP_END);
+            put_uvar(&mut out, *frames);
+        }
     }
     out
 }
@@ -372,6 +383,7 @@ pub fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord)> {
             table: r.str()?,
             rows: r.list(|r| r.list(Reader::value))?,
         },
+        OP_END => WalRecord::End { frames: r.uvar()? },
         op => return Err(unknown_tag("wal op", op)),
     };
     if !r.0.is_empty() {
@@ -690,7 +702,9 @@ mod tests {
 
     #[test]
     fn record_codec_roundtrips() {
-        for (i, record) in sample_records().iter().enumerate() {
+        let mut records = sample_records();
+        records.push(WalRecord::End { frames: 300 });
+        for (i, record) in records.iter().enumerate() {
             let lsn = i as u64 + 1;
             let payload = encode_record(lsn, record);
             let (got_lsn, got) = decode_record(&payload).unwrap();

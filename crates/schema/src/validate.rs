@@ -45,20 +45,12 @@ impl std::error::Error for ValidationError {}
 
 /// Validate `doc` against the root type of `schema`.
 pub fn validate(schema: &Schema, doc: &Document) -> Result<(), ValidationError> {
-    let mut path = Vec::new();
-    match_item(
-        schema,
-        &ItemRef::Child(&Node::Element(doc.root.clone())),
-        schema.root_type(),
-        &mut path,
-    )
-    .then_some(())
-    .ok_or_else(|| ValidationError {
-        path: vec![doc.root.name.clone()],
-        message: format!("document root does not match type {}", schema.root()),
-    })?;
-    // Re-run with error tracking for a useful message on failure paths.
-    Ok(())
+    element_matches(schema, &doc.root, schema.root_type())
+        .then_some(())
+        .ok_or_else(|| ValidationError {
+            path: vec![doc.root.name.clone()],
+            message: format!("document root does not match type {}", schema.root()),
+        })
 }
 
 /// Validate and, on failure, locate the deepest failing element for a
@@ -82,8 +74,7 @@ fn locate_failure(
     path: &[String],
 ) -> Option<ValidationError> {
     // If the element matches, no failure here.
-    let node = Node::Element(element.clone());
-    if match_item(schema, &ItemRef::Child(&node), ty, &mut Vec::new()) {
+    if element_matches(schema, element, ty) {
         return None;
     }
     // Try to find a child that fails against every plausible position; if
@@ -98,8 +89,7 @@ fn locate_failure(
 /// position)? Exposed for the shredder, which must decide which union
 /// alternative an element instantiates.
 pub fn element_matches(schema: &Schema, element: &Element, ty: &Type) -> bool {
-    let node = Node::Element(element.clone());
-    match_item(schema, &ItemRef::Child(&node), ty, &mut Vec::new())
+    match_item(schema, &ItemRef::ChildElement(element), ty)
 }
 
 /// Does `element`'s *content* (attributes ++ children) match a content
@@ -141,7 +131,7 @@ impl<'s> ContentMatcher<'s> {
         self.step(&ItemRef::Attr(attr));
     }
 
-    /// Consume one child element (borrowed; no clone into a [`Node`]).
+    /// Consume one child element.
     pub fn feed_element(&mut self, element: &Element) {
         self.step(&ItemRef::ChildElement(element));
     }
@@ -153,7 +143,7 @@ impl<'s> ContentMatcher<'s> {
 
     fn step(&mut self, item: &ItemRef<'_>) {
         if let Some(residual) = self.residual.take() {
-            self.residual = deriv(self.schema, &residual, item, &mut Vec::new());
+            self.residual = deriv(self.schema, &residual, item);
         }
     }
 
@@ -171,33 +161,26 @@ impl<'s> ContentMatcher<'s> {
     }
 }
 
-/// One item of an element's flattened content.
+/// One item of an element's flattened content, borrowed from the
+/// document.
 enum ItemRef<'a> {
     Attr(&'a Attribute),
-    Child(&'a Node),
-    /// A borrowed element item, fed by [`ContentMatcher`] without cloning
-    /// into a [`Node`]. Matches exactly like `Child(Node::Element(..))`.
     ChildElement(&'a Element),
-    /// A borrowed text item. Matches exactly like `Child(Node::Text(..))`.
     ChildText(&'a str),
 }
 
 /// Does one item match an *atomic* type (scalar/attribute/element)?
-fn match_item(schema: &Schema, item: &ItemRef<'_>, ty: &Type, _path: &mut Vec<String>) -> bool {
+fn match_item(schema: &Schema, item: &ItemRef<'_>, ty: &Type) -> bool {
     match (ty, item) {
-        (Type::Scalar { kind, .. }, ItemRef::Child(Node::Text(t))) => scalar_accepts(*kind, t),
         (Type::Scalar { kind, .. }, ItemRef::ChildText(t)) => scalar_accepts(*kind, t),
         (Type::Attribute { name, content }, ItemRef::Attr(a)) => {
             name == &a.name && scalar_type_accepts(schema, content, &a.value)
-        }
-        (Type::Element { name, content }, ItemRef::Child(Node::Element(e))) => {
-            name.matches(&e.name) && element_content_matches(schema, e, content)
         }
         (Type::Element { name, content }, ItemRef::ChildElement(e)) => {
             name.matches(&e.name) && element_content_matches(schema, e, content)
         }
         (Type::Ref(name), item) => match schema.get(name) {
-            Some(def) => match_item(schema, item, def, _path),
+            Some(def) => match_item(schema, item, def),
             None => false,
         },
         _ => false,
@@ -229,9 +212,8 @@ fn scalar_accepts(kind: ScalarKind, value: &str) -> bool {
 /// type using iterated derivatives.
 fn element_content_matches(schema: &Schema, e: &Element, content: &Type) -> bool {
     let mut residual = content.clone();
-    let mut path = Vec::new();
     for attr in &e.attributes {
-        match deriv(schema, &residual, &ItemRef::Attr(attr), &mut path) {
+        match deriv(schema, &residual, &ItemRef::Attr(attr)) {
             Some(next) => residual = next,
             None => return false,
         }
@@ -239,7 +221,11 @@ fn element_content_matches(schema: &Schema, e: &Element, content: &Type) -> bool
     for child in &e.children {
         // Whitespace-only text between elements was already dropped by the
         // parser; remaining text nodes are content.
-        match deriv(schema, &residual, &ItemRef::Child(child), &mut path) {
+        let item = match child {
+            Node::Element(e) => ItemRef::ChildElement(e),
+            Node::Text(t) => ItemRef::ChildText(t),
+        };
+        match deriv(schema, &residual, &item) {
             Some(next) => residual = next,
             None => return false,
         }
@@ -274,16 +260,16 @@ fn nullable(schema: &Schema, ty: &Type, visiting: &mut BTreeSet<TypeName>) -> bo
 
 /// The Brzozowski derivative: the residual type after `ty` consumes `item`,
 /// or `None` if `item` cannot begin `ty`.
-fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>, path: &mut Vec<String>) -> Option<Type> {
+fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>) -> Option<Type> {
     match ty {
         Type::Empty => None,
         Type::Scalar { .. } | Type::Attribute { .. } | Type::Element { .. } => {
-            match_item(schema, item, ty, path).then_some(Type::Empty)
+            match_item(schema, item, ty).then_some(Type::Empty)
         }
         Type::Ref(name) => {
             // Atoms: a ref used as an item position. Match the item against
             // the definition (consuming exactly this one item).
-            match_item(schema, item, ty, path)
+            match_item(schema, item, ty)
                 .then_some(Type::Empty)
                 .or_else(|| {
                     // A ref may also name a *sequence* type (e.g. `type Movie =
@@ -296,7 +282,7 @@ fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>, path: &mut Vec<String>)
                     ) {
                         None // already tried as an atom
                     } else {
-                        deriv(schema, def, item, path)
+                        deriv(schema, def, item)
                     }
                 })
         }
@@ -305,11 +291,11 @@ fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>, path: &mut Vec<String>)
             let (first, rest) = items.split_first().expect("Seq invariant: non-empty");
             let rest_ty = Type::seq(rest.iter().cloned());
             let mut alternatives = Vec::new();
-            if let Some(d) = deriv(schema, first, item, path) {
+            if let Some(d) = deriv(schema, first, item) {
                 alternatives.push(Type::seq([d, rest_ty.clone()]));
             }
             if nullable(schema, first, &mut BTreeSet::new()) {
-                if let Some(d) = deriv(schema, &rest_ty, item, path) {
+                if let Some(d) = deriv(schema, &rest_ty, item) {
                     alternatives.push(d);
                 }
             }
@@ -322,7 +308,7 @@ fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>, path: &mut Vec<String>)
         Type::Choice(items) => {
             let alternatives: Vec<Type> = items
                 .iter()
-                .filter_map(|t| deriv(schema, t, item, path))
+                .filter_map(|t| deriv(schema, t, item))
                 .collect();
             if alternatives.is_empty() {
                 None
@@ -334,7 +320,7 @@ fn deriv(schema: &Schema, ty: &Type, item: &ItemRef<'_>, path: &mut Vec<String>)
             if occurs.is_exhausted() {
                 return None;
             }
-            let d = deriv(schema, inner, item, path)?;
+            let d = deriv(schema, inner, item)?;
             Some(Type::seq([
                 d,
                 Type::rep((**inner).clone(), occurs.decrement()),

@@ -4,8 +4,8 @@
 //! parser — elements, attributes, character data, predefined and numeric
 //! entities, comments, CDATA, processing instructions, DOCTYPE — but yields
 //! a flat stream of [`Event`]s instead of materializing a tree. The DOM
-//! path ([`crate::parse::parse_with_limits`]) is now a thin tree-builder
-//! over this iterator, and streaming consumers (statistics collection,
+//! path ([`crate::parse::parse_with_limits`]) folds this iterator through
+//! [`crate::parse::TreeBuilder`], and streaming consumers (statistics collection,
 //! shredding) fold over it directly so document size no longer implies
 //! resident memory.
 //!
@@ -17,7 +17,7 @@
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::escape::resolve_entity;
 use crate::parse::ParseLimits;
-use crate::tree::{Document, Element, Node};
+use crate::tree::{Attribute, Document, Element, Node};
 use std::borrow::Cow;
 
 /// One attribute on a [`Event::StartElement`]. Borrowed from the input
@@ -28,6 +28,15 @@ pub struct EventAttribute<'a> {
     pub name: Cow<'a, str>,
     /// Attribute value, entity-resolved.
     pub value: Cow<'a, str>,
+}
+
+impl From<EventAttribute<'_>> for Attribute {
+    fn from(a: EventAttribute<'_>) -> Self {
+        Attribute {
+            name: a.name.into_owned(),
+            value: a.value.into_owned(),
+        }
+    }
 }
 
 /// One token of the document stream.

@@ -34,5 +34,5 @@ pub mod write;
 
 pub use error::{ParseError, ParseErrorKind, Position};
 pub use events::{events, events_with_limits, tree_events, Event, EventAttribute, Events};
-pub use parse::{parse, parse_with_limits, ParseLimits};
+pub use parse::{parse, parse_with_limits, ParseLimits, TreeBuilder};
 pub use tree::{Attribute, Document, Element, Node};

@@ -1,5 +1,6 @@
-//! The DOM parsing entry points: a thin tree-builder over the pull parser
-//! in [`crate::events`], which owns the single tokenizer.
+//! The DOM parsing entry points and the one event→tree fold
+//! ([`TreeBuilder`]) over the pull parser in [`crate::events`], which owns
+//! the single tokenizer.
 //!
 //! Supports the subset of XML needed by the LegoDB workloads: elements,
 //! attributes, character data, predefined and numeric entity references,
@@ -44,38 +45,15 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 
 /// Parse a complete XML document under explicit [`ParseLimits`].
 ///
-/// This is a tree-builder over [`events_with_limits`]: the tokenizer
+/// A [`TreeBuilder`] fold over [`events_with_limits`]: the tokenizer
 /// enforces the limits and guarantees balanced, well-formed events, so the
-/// builder only stacks elements and attaches children.
+/// fold only stacks elements and attaches children.
 pub fn parse_with_limits(input: &str, limits: &ParseLimits) -> Result<Document, ParseError> {
-    let mut stack: Vec<Element> = Vec::new();
-    let mut root: Option<Element> = None;
+    let mut tree = TreeBuilder::default();
+    let mut root = None;
     for event in events_with_limits(input, limits) {
-        match event? {
-            Event::StartElement { name, attributes } => {
-                let mut element = Element::new(name.into_owned());
-                element.attributes = attributes
-                    .into_iter()
-                    .map(|a| Attribute {
-                        name: a.name.into_owned(),
-                        value: a.value.into_owned(),
-                    })
-                    .collect();
-                stack.push(element);
-            }
-            Event::Text(text) => {
-                if let Some(open) = stack.last_mut() {
-                    open.children.push(Node::Text(text.into_owned()));
-                }
-            }
-            Event::EndElement { .. } => {
-                // lint: allow(no-unwrap-in-lib) — the tokenizer only emits balanced end tags
-                let element = stack.pop().expect("balanced events");
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(Node::Element(element)),
-                    None => root = Some(element),
-                }
-            }
+        if let Some(done) = tree.push(event?) {
+            root = Some(done);
         }
     }
     match root {
@@ -85,6 +63,55 @@ pub fn parse_with_limits(input: &str, limits: &ParseLimits) -> Result<Document, 
             position: Position::start(),
             kind: ParseErrorKind::MissingRoot,
         }),
+    }
+}
+
+/// The event→tree fold: stacks open elements and attaches each closed
+/// one to its parent. [`parse_with_limits`] folds a whole document
+/// through it; the streaming shredder folds one root child at a time.
+#[derive(Debug, Default)]
+pub struct TreeBuilder {
+    open: Vec<Element>,
+}
+
+impl TreeBuilder {
+    /// A builder inside `element`, whose start tag the caller consumed.
+    pub fn within(element: Element) -> Self {
+        TreeBuilder {
+            open: vec![element],
+        }
+    }
+
+    /// How many elements are open.
+    pub fn depth(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Fold one event. Returns the element an end tag closes when no open
+    /// element encloses it. Text outside every element and an end tag
+    /// with nothing open have nowhere to go and are dropped; the
+    /// tokenizer emits neither.
+    pub fn push(&mut self, event: Event<'_>) -> Option<Element> {
+        match event {
+            Event::StartElement { name, attributes } => self.open.push(Element {
+                name: name.into_owned(),
+                attributes: attributes.into_iter().map(Attribute::from).collect(),
+                children: Vec::new(),
+            }),
+            Event::Text(text) => {
+                if let Some(open) = self.open.last_mut() {
+                    open.children.push(Node::Text(text.into_owned()));
+                }
+            }
+            Event::EndElement { .. } => {
+                let element = self.open.pop()?;
+                match self.open.last_mut() {
+                    Some(parent) => parent.children.push(Node::Element(element)),
+                    None => return Some(element),
+                }
+            }
+        }
+        None
     }
 }
 
@@ -229,6 +256,25 @@ mod tests {
         ));
         let ok = format!("<a>{}</a>", "&amp;".repeat(10));
         assert!(parse_with_limits(&ok, &limits).is_ok());
+    }
+
+    #[test]
+    fn tree_builder_resumes_inside_a_consumed_start_tag() {
+        let mut evs = crate::events::events("<a x=\"1\"><b>hi</b>tail</a>");
+        let Some(Ok(Event::StartElement { name, attributes })) = evs.next() else {
+            panic!("expected the root start tag");
+        };
+        let mut root = Element::new(name);
+        root.attributes = attributes.into_iter().map(Attribute::from).collect();
+        let mut tree = TreeBuilder::within(root);
+        let mut done = None;
+        for event in evs {
+            assert!(done.is_none(), "nothing follows the root's end tag");
+            done = tree.push(event.unwrap());
+        }
+        assert_eq!(tree.depth(), 0);
+        let parsed = parse("<a x=\"1\"><b>hi</b>tail</a>").unwrap();
+        assert_eq!(done, Some(parsed.root));
     }
 
     #[test]

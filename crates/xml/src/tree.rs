@@ -17,10 +17,7 @@ impl Document {
 
     /// Total number of element nodes in the document (root included).
     pub fn element_count(&self) -> usize {
-        fn walk(e: &Element) -> usize {
-            1 + e.child_elements().map(walk).sum::<usize>()
-        }
-        walk(&self.root)
+        self.root.element_count()
     }
 }
 
@@ -141,6 +138,14 @@ impl Element {
             out.push_str(t);
         }
         out.trim().to_string()
+    }
+
+    /// Number of element nodes in this subtree, itself included.
+    pub fn element_count(&self) -> usize {
+        1 + self
+            .child_elements()
+            .map(Element::element_count)
+            .sum::<usize>()
     }
 
     /// True if this element has no element children (only text, or nothing).

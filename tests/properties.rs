@@ -7,7 +7,9 @@
 //! needed to replay it.
 
 use legodb_core::transform::{apply, enumerate_candidates, TransformationSet};
-use legodb_pschema::{derive_pschema, publish_all, rel, shred, InlineStyle};
+use legodb_pschema::{
+    derive_pschema, publish_all, rel, shred, shred_dom, shred_events_report, InlineStyle,
+};
 use legodb_schema::gen::{generate, GenConfig};
 use legodb_schema::validate::validate;
 use legodb_schema::{parse_schema, Schema};
@@ -34,6 +36,11 @@ fn schema_pool() -> Vec<&'static str> {
         "type R = r[ Review{0,*} ]
          type Review = review[ ~[ String ] ]",
         "type R = r[ note[ String ]?, deep[ deeper[ deepest[ Integer ] ] ] ]",
+        "type R = r[ Show{0,*} ]
+         type Show = show[ title[ String ], (Movie | TV) ]
+         type Movie = box_office[ Integer ]
+         type TV = seasons[ Integer ], Ep{0,*}
+         type Ep = ep[ name[ String ] ]",
     ]
 }
 
@@ -103,6 +110,42 @@ prop_check! {
             b.sort();
             prop_assert_eq!(a, b, "table {} unstable", &table.def.name);
         }
+    }
+}
+
+prop_check! {
+    cases = 256,
+    // The streaming shred stores exactly what the DOM oracle stores under
+    // any mapping the search can reach: every pool schema, a random chain
+    // of enumerated transformations (distributing `show`'s union makes two
+    // alternatives share its tag; the `(Movie | TV)` root takes the
+    // buffered fallback), and a generated document. Enough cases that the
+    // shared-tag and wildcard-split shapes each come up, so a claim that
+    // wrongly skips validation trips the shredder's `debug_assert!`.
+    fn streaming_shred_matches_the_dom_oracle(pool in 0..schema_pool().len(), seed in 0u64..500, steps in 0usize..4) {
+        let schema = pool_schema(pool);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xml = generate(&schema, &mut rng, &GenConfig::default()).to_xml();
+        let doc = legodb_xml::parse(&xml).expect("generated XML parses");
+        let mut p = derive_pschema(&schema, InlineStyle::Inlined);
+        for _ in 0..steps {
+            let candidates = enumerate_candidates(&p, &TransformationSet::all(vec!["nyt".into()]));
+            if candidates.is_empty() {
+                break;
+            }
+            if let Ok((next, _)) = apply(&p, &candidates[rng.gen_range(0..candidates.len())]) {
+                p = next;
+            }
+        }
+        let mapping = rel(&p, &Statistics::collect(&doc));
+        let dom = shred_dom(&mapping, &doc).expect("generated docs shred");
+        let (streamed, _) = shred_events_report(&mapping, legodb_xml::events(&xml))
+            .expect("generated docs stream");
+        prop_assert!(
+            dom.snapshot() == streamed.snapshot(),
+            "streaming and DOM shreds differ under\n{}\ndoc:\n{}",
+            p.schema(), xml
+        );
     }
 }
 
